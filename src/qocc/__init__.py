@@ -4,7 +4,8 @@ The package turns document counts for two words a, b and a probe word x into
 the probabilities mu_a, mu_b and the observed combined ratio, computes the
 interval of combined probabilities reachable by phase interference alone,
 and fits a six-parameter context-plus-interference model to any observed
-value.  A brute-force complex-vector oracle backs every aggregate formula.
+value.  A brute-force complex-vector oracle backs every aggregate formula;
+it needs numpy and is imported on its own, as ``qocc.hilbert``.
 """
 
 from .context_model import (
@@ -46,19 +47,6 @@ from .errors import (
     UnreachableTarget,
     ZeroDenominator,
 )
-from .hilbert import (
-    DenseProjector,
-    StateVector,
-    SubsetProjector,
-    apply_context,
-    basis_state,
-    born_probability,
-    characteristic_state,
-    identity_projector,
-    mu_combined,
-    mu_with_context,
-    superpose,
-)
 from .interference import (
     ExtensionClass,
     InterferenceInterval,
@@ -79,7 +67,6 @@ __all__ = [
     "CountTable",
     "DegenerateDenominator",
     "DegenerateSuperposition",
-    "DenseProjector",
     "DimensionMismatch",
     "Document",
     "EmptyIndexSet",
@@ -95,17 +82,11 @@ __all__ = [
     "PhaseAssignment",
     "ProbabilityTriple",
     "QoccError",
-    "StateVector",
-    "SubsetProjector",
     "ThreeTermCounts",
     "TokenizerConfig",
     "UnreachableTarget",
     "ZeroDenominator",
-    "apply_context",
-    "basis_state",
-    "born_probability",
     "build_report",
-    "characteristic_state",
     "classify_extension",
     "context_interval",
     "count_corpus",
@@ -113,7 +94,6 @@ __all__ = [
     "fit_params",
     "fit_params_constrained",
     "fits_interference_only",
-    "identity_projector",
     "interference_interval",
     "load_corpus",
     "marginals",
@@ -122,10 +102,7 @@ __all__ = [
     "mu_ab_full",
     "mu_ab_interference",
     "mu_ab_interference_sums",
-    "mu_combined",
-    "mu_with_context",
     "probabilities",
-    "superpose",
     "table_from_ratios",
     "tokenize",
 ]

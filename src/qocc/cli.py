@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success; 1 unreachable fit target or internal failure;
 2 unreadable input or bad invocation; 3 empty corpus; 4 unusable count
-table; 5 reference-table deviation; 6 fit input outside its domain.
+table; 5 reference-table deviation; 6 fit or pinned-interval input outside
+its domain.
 Diagnostics go to stderr only.
 """
 from __future__ import annotations
@@ -23,12 +24,7 @@ from pathlib import Path
 from . import fixtures
 from .context_model import fit_params, fit_params_constrained, context_interval
 from .corpus import CountTable, count_corpus, load_corpus, marginals, probabilities, tokenize
-from .errors import (
-    InvalidCounts,
-    InvalidInput,
-    QoccError,
-    UnreachableTarget,
-)
+from .errors import InvalidCounts, InvalidInput, QoccError
 from .interference import interference_interval
 from .report import build_report
 
@@ -82,7 +78,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         documents = load_corpus(args.corpus_path)
     except OSError as exc:
         return _fail(EXIT_UNREADABLE, f"count: cannot read corpus: {exc}")
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, QoccError) as exc:
         return _fail(EXIT_UNREADABLE, f"count: malformed corpus file: {exc}")
     if not documents:
         return _fail(EXIT_EMPTY_CORPUS, f"count: no documents under {args.corpus_path}")
@@ -96,7 +92,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         table = _read_table(args.table)
     except OSError as exc:
         return _fail(EXIT_UNREADABLE, f"analyze: cannot read table: {exc}")
-    except (json.JSONDecodeError, InvalidCounts) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, InvalidCounts) as exc:
         return _fail(EXIT_BAD_TABLE, f"analyze: invalid count table: {exc}")
     try:
         report = build_report(table)
@@ -126,7 +122,7 @@ def cmd_interval(args: argparse.Namespace) -> int:
             table = _read_table(args.table)
         except OSError as exc:
             return _fail(EXIT_UNREADABLE, f"interval: cannot read table: {exc}")
-        except (json.JSONDecodeError, InvalidCounts) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, InvalidCounts) as exc:
             return _fail(EXIT_BAD_TABLE, f"interval: invalid count table: {exc}")
         try:
             interval = interference_interval(table)
@@ -140,6 +136,8 @@ def cmd_interval(args: argparse.Namespace) -> int:
             interval = context_interval(
                 args.mu_a, args.mu_b, args.p_a, args.p_b, args.c, args.c_prime
             )
+        except InvalidInput as exc:
+            return _fail(EXIT_FIT_DOMAIN, f"interval: {exc}")
         except QoccError as exc:
             return _fail(EXIT_BAD_TABLE, f"interval: {exc}")
     if args.json:
@@ -170,7 +168,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             result = fit_params(args.mu_a, args.mu_b, args.target)
     except InvalidInput as exc:
         return _fail(EXIT_FIT_DOMAIN, f"fit: {exc}")
-    except UnreachableTarget as exc:
+    except QoccError as exc:
         return _fail(EXIT_FAILURE, f"fit: {exc}")
     if args.json:
         _emit(args, canonical_json(result.as_dict()))

@@ -47,6 +47,15 @@ class FitStrategy(enum.Enum):
     OVEREXTENSION_BRANCH = "overextension_branch"
 
 
+def _check_weights_and_moduli(p_a: float, p_b: float, c: float, c_prime: float) -> None:
+    for name, value in (("p_a", p_a), ("p_b", p_b)):
+        if not 0.0 < value <= 1.0:
+            raise InvalidInput(f"{name}={value!r} must be in (0, 1]")
+    for name, value in (("c", c), ("c_prime", c_prime)):
+        if not 0.0 <= value <= 1.0:
+            raise InvalidInput(f"{name}={value!r} must be in [0, 1]")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Model parameters; weights in (0, 1], moduli in [0, 1], angles in [0, 2*pi)."""
@@ -59,12 +68,7 @@ class ModelParams:
     phi_prime: float
 
     def __post_init__(self) -> None:
-        for name, value in (("p_a", self.p_a), ("p_b", self.p_b)):
-            if not 0.0 < value <= 1.0:
-                raise InvalidInput(f"{name}={value!r} must be in (0, 1]")
-        for name, value in (("c", self.c), ("c_prime", self.c_prime)):
-            if not 0.0 <= value <= 1.0:
-                raise InvalidInput(f"{name}={value!r} must be in [0, 1]")
+        _check_weights_and_moduli(self.p_a, self.p_b, self.c, self.c_prime)
         object.__setattr__(self, "phi", self.phi % TWO_PI)
         object.__setattr__(self, "phi_prime", self.phi_prime % TWO_PI)
 
@@ -138,7 +142,12 @@ def context_interval(
     c: float,
     c_prime: float,
 ) -> InterferenceInterval:
-    """Probability range over all phases at fixed weights and moduli."""
+    """Probability range over all phases at fixed weights and moduli.
+
+    Weights and moduli must lie in the domains ``ModelParams`` enforces;
+    anything else raises InvalidInput.
+    """
+    _check_weights_and_moduli(p_a, p_b, c, c_prime)
     raw_lo = mu_ab_cosines(mu_a, mu_b, p_a, p_b, c, c_prime, -1.0, 1.0)
     raw_hi = mu_ab_cosines(mu_a, mu_b, p_a, p_b, c, c_prime, 1.0, -1.0)
     return InterferenceInterval(
@@ -264,6 +273,7 @@ def fit_params_constrained(
             raise InvalidInput(f"{name}={value!r} must be strictly inside (0, 1)")
     if not 0.0 <= target <= 1.0:
         raise InvalidInput(f"target={target!r} is outside [0, 1]")
+    _check_weights_and_moduli(p_a, p_b, c, c_prime)
 
     def along_path(t: float) -> tuple[float, float]:
         if t <= 1.0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .errors import InconsistentRatios, InvalidCounts, ZeroDenominator
+from .errors import InconsistentRatios, InvalidCounts, InvalidInput, ZeroDenominator
 
 _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 
@@ -56,7 +56,8 @@ def load_corpus(path: str | Path, config: TokenizerConfig = DEFAULT_TOKENIZER) -
     """Read a corpus: a directory of text files, or a JSON-lines file.
 
     Directory: every regular file is one document, id = file name.
-    JSON lines: one {"id": ..., "text": ...} object per line.
+    JSON lines: one {"id": ..., "text": ...} object per line; a line that is
+    valid JSON but not an object raises InvalidInput.
     """
     p = Path(path)
     docs: list[Document] = []
@@ -71,6 +72,8 @@ def load_corpus(path: str | Path, config: TokenizerConfig = DEFAULT_TOKENIZER) -
             if not line:
                 continue
             record = json.loads(line)
+            if not isinstance(record, dict):
+                raise InvalidInput(f"line {line_no}: expected a JSON object, got {type(record).__name__}")
             docs.append(document_from_text(str(record["id"]), str(record["text"]), config))
     return docs
 
@@ -182,6 +185,8 @@ class CountTable:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CountTable":
+        if not isinstance(data, dict):
+            raise InvalidCounts(f"count-table JSON must be an object, got {type(data).__name__}")
         try:
             values = {key: data[key] for key in ("n_a", "n_b", "n_ab", "n_ax", "n_bx", "n_abx")}
         except KeyError as exc:

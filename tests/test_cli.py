@@ -1,8 +1,13 @@
 """Command-line behavior: exit codes, canonical JSON, parity with the library."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qocc
 from qocc import fixtures
 from qocc.cli import canonical_json, main
 from qocc.context_model import fit_params, fit_params_constrained
@@ -156,6 +161,13 @@ class TestInterval:
         code, _, err = run(capsys, "interval")
         assert code == 2
 
+    @pytest.mark.parametrize("pin", [["--p-a", "-1"], ["--c", "2"]])
+    def test_parameter_outside_its_domain_exits_6(self, capsys, pin):
+        code, out, err = run(capsys, "interval", "--mu-a", ".5", "--mu-b", ".5", *pin)
+        assert code == 6
+        assert out == ""
+        assert err.startswith("interval: ") and err.count("\n") == 1
+
 
 class TestFit:
     def test_almond_values(self, capsys):
@@ -188,6 +200,18 @@ class TestFit:
         payload = json.loads(out)
         expected = fit_params_constrained(0.0522, 0.213, 0.29, 0.5, 0.5, 0.5, 0.5)
         assert payload == json.loads(canonical_json(expected.as_dict()))
+
+    def test_model_failure_in_pinned_solve_exits_1(self, capsys):
+        # equal measurements and weights with unit moduli make the model's
+        # normalization vanish at (x, x') = (-1, -1), a corner the solve walks
+        # through; the failure must reach the user as exit 1, not a traceback
+        code, out, err = run(
+            capsys, "fit", "--mu-a", "0.3", "--mu-b", "0.3", "--target", "0.3",
+            "--p-a", "1", "--p-b", "1", "--c", "1", "--c-prime", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("fit: ")
 
     def test_unreachable_pinned_target_exits_1(self, capsys):
         code, _, err = run(
@@ -284,3 +308,35 @@ class TestTable1:
         assert apple["exemplar"] == "apple"
         assert apple["mu_min"] == interval.lo
         assert apple["mu_max"] == interval.hi
+
+
+MALFORMED_INPUTS = {
+    "analyze-json-array": (["analyze", "{table}"], 4),
+    "interval-json-array": (["interval", "--table", "{table}"], 4),
+    "count-non-utf8-file": (["count", "{binary}", "a", "b", "x"], 2),
+    "count-non-utf8-directory": (["count", "{binary_dir}", "a", "b", "x"], 2),
+    "count-json-line-not-object": (["count", "{jsonl}", "a", "b", "x"], 2),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_INPUTS)
+def test_malformed_input_exits_with_its_code_and_no_traceback(tmp_path, case):
+    """A cold ``python -m qocc.cli`` call, so that a traceback would reach stderr."""
+    (tmp_path / "table.json").write_text("[1,2]", encoding="utf-8")
+    (tmp_path / "binary.txt").write_bytes(b"\xff\xfe not utf-8")
+    (tmp_path / "binary_dir").mkdir()
+    (tmp_path / "binary_dir" / "doc.txt").write_bytes(b"caf\xe9")
+    (tmp_path / "corpus.jsonl").write_text('{"id": "d1", "text": "a b"}\n[1, 2]\n', encoding="utf-8")
+    paths = {
+        "table": tmp_path / "table.json", "binary": tmp_path / "binary.txt",
+        "binary_dir": tmp_path / "binary_dir", "jsonl": tmp_path / "corpus.jsonl",
+    }
+    argv, expected = MALFORMED_INPUTS[case]
+    argv = [arg.format(**paths) for arg in argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(qocc.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "qocc.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == expected
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith(argv[0] + ": ") and done.stderr.count("\n") == 1

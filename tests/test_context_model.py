@@ -166,6 +166,17 @@ class TestContextInterval:
             interval = context_interval(mu_a, mu_b, p_a, p_b, c, c_prime)
             assert interval.lo <= interval.hi
 
+    @pytest.mark.parametrize(
+        "p_a, p_b, c, c_prime",
+        [(-1.0, 1.0, 1.0, 1.0), (1.0, 0.0, 1.0, 1.0), (1.0, 1.0, 2.0, 1.0),
+         (1.0, 1.0, 1.0, -0.5), (float("nan"), 1.0, 1.0, 1.0)],
+    )
+    def test_rejects_weights_and_moduli_outside_their_domains(self, p_a, p_b, c, c_prime):
+        with pytest.raises(InvalidInput):
+            context_interval(0.5, 0.5, p_a, p_b, c, c_prime)
+        with pytest.raises(InvalidInput):
+            fit_params_constrained(0.3, 0.4, 0.35, p_a, p_b, c, c_prime)
+
 
 class TestMonotonicity:
     def test_non_increasing_in_x_prime_and_non_decreasing_in_x(self, rng):

@@ -7,16 +7,21 @@ queried separately, so they are consistent by construction.
 """
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
 from .errors import InconsistentRatios, InvalidCounts, InvalidInput, ZeroDenominator
 
 _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
+# On ASCII text _WORD_RE matches exactly the runs of ASCII letters, so mapping
+# every other ASCII character to a space and splitting gives the same tokens.
+_ASCII_SPLIT = str.maketrans({chr(c): " " for c in range(128) if not chr(c).isalpha()})
 
 
 @dataclass(frozen=True)
@@ -31,7 +36,12 @@ DEFAULT_TOKENIZER = TokenizerConfig()
 
 def tokenize(raw_text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str]:
     """Lowercase word tokens in order, duplicates kept, '' gives []."""
-    tokens = _WORD_RE.findall(raw_text.lower())
+    lowered = raw_text.lower()
+    # test the lowered text: some non-ASCII letters lowercase to ASCII (U+212A -> 'k')
+    if lowered.isascii():
+        tokens = lowered.translate(_ASCII_SPLIT).split()
+    else:
+        tokens = _WORD_RE.findall(lowered)
     if config.stemmer is not None:
         tokens = [config.stemmer(tok) for tok in tokens]
     return tokens
@@ -39,32 +49,65 @@ def tokenize(raw_text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list
 
 @dataclass(frozen=True)
 class Document:
+    """A document's tokens in order, and ``terms``, the set of words it contains.
+
+    ``terms`` is built once here, so that every probe counted against the
+    document tests presence without rebuilding it.
+    """
+
     id: str
     tokens: tuple[str, ...]
+    terms: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.id:
             raise InvalidCounts("document id must be nonempty")
-        object.__setattr__(self, "tokens", tuple(self.tokens))
+        tokens = tuple(self.tokens)
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "terms", frozenset(tokens))
 
 
 def document_from_text(doc_id: str, text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> Document:
     return Document(doc_id, tuple(tokenize(text, config)))
 
 
+# errors that Path.is_file reads as "not a file": a dangling or looping symlink,
+# or one that passes through a regular file
+_NOT_A_FILE = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
+
+
+def _is_file(entry: os.DirEntry) -> bool:
+    try:
+        return entry.is_file()
+    except OSError as exc:
+        if exc.errno in _NOT_A_FILE:
+            return False
+        raise
+
+
 def load_corpus(path: str | Path, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[Document]:
     """Read a corpus: a directory of text files, or a JSON-lines file.
 
-    Directory: every regular file is one document, id = file name.
-    JSON lines: one {"id": ..., "text": ...} object per line; a line that is
-    valid JSON but not an object raises InvalidInput.
+    Directory: every regular file is one document, id = file name, in name
+    order.  JSON lines: one {"id": ..., "text": ...} object per line; a line
+    that is valid JSON but not an object raises InvalidInput.  Equal tokens
+    share one string object across the whole corpus.
     """
+    shared: dict[str, str] = {}
+
+    def document(doc_id: str, text: str) -> Document:
+        tokens = tokenize(text, config)
+        return Document(doc_id, tuple(map(shared.setdefault, tokens, tokens)))
+
     p = Path(path)
     docs: list[Document] = []
     if p.is_dir():
-        for child in sorted(p.iterdir()):
-            if child.is_file():
-                docs.append(document_from_text(child.name, child.read_text(encoding="utf-8"), config))
+        with os.scandir(p) as entries:
+            files = sorted((entry.name, entry.path) for entry in entries if _is_file(entry))
+        for name, file_path in files:
+            # read bytes and decode whole: newline translation would not change a token
+            with open(file_path, "rb") as handle:
+                docs.append(document(name, handle.read().decode("utf-8")))
         return docs
     with p.open(encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, 1):
@@ -74,7 +117,7 @@ def load_corpus(path: str | Path, config: TokenizerConfig = DEFAULT_TOKENIZER) -
             record = json.loads(line)
             if not isinstance(record, dict):
                 raise InvalidInput(f"line {line_no}: expected a JSON object, got {type(record).__name__}")
-            docs.append(document_from_text(str(record["id"]), str(record["text"]), config))
+            docs.append(document(str(record["id"]), str(record["text"])))
     return docs
 
 
@@ -117,12 +160,12 @@ class ThreeTermCounts:
 
 def count_corpus(documents: Iterable[Document], a: str, b: str, x: str) -> ThreeTermCounts:
     """Tally each document into exactly one of the eight presence cells."""
-    cells = {key: 0 for key in ("n111", "n110", "n101", "n100", "n011", "n010", "n001", "n000")}
+    # slot (a in t) << 2 | (b in t) << 1 | (x in t): slot 7 is n111, slot 0 n000
+    tally = [0] * 8
     for doc in documents:
-        present = set(doc.tokens)
-        key = f"n{int(a in present)}{int(b in present)}{int(x in present)}"
-        cells[key] += 1
-    return ThreeTermCounts(**cells)
+        terms = doc.terms
+        tally[(a in terms) << 2 | (b in terms) << 1 | (x in terms)] += 1
+    return ThreeTermCounts(*reversed(tally))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Shared builders: random page universes and model-parameter extraction."""
+"""Shared builders: random page universes, model-parameter extraction, a reference tally."""
 from __future__ import annotations
 
 import cmath
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qocc.context_model import ModelParams
-from qocc.corpus import CountTable
+from qocc.corpus import CountTable, ThreeTermCounts
 from qocc.hilbert import (
     Projector,
     StateVector,
@@ -143,3 +143,12 @@ def extract_model_params(
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20161108)
+
+
+def brute_force_cells(documents, a: str, b: str, x: str) -> ThreeTermCounts:
+    """Reference tally: one presence set per document, built on the spot."""
+    cells = dict.fromkeys(("n111", "n110", "n101", "n100", "n011", "n010", "n001", "n000"), 0)
+    for doc in documents:
+        present = set(doc.tokens)
+        cells[f"n{int(a in present)}{int(b in present)}{int(x in present)}"] += 1
+    return ThreeTermCounts(**cells)

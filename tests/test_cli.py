@@ -11,9 +11,11 @@ import qocc
 from qocc import fixtures
 from qocc.cli import canonical_json, main
 from qocc.context_model import fit_params, fit_params_constrained
-from qocc.corpus import count_corpus, document_from_text, marginals, probabilities
+from qocc.corpus import _WORD_RE, Document, count_corpus, document_from_text, marginals, probabilities
 from qocc.fixtures import ExemplarRow, exemplar_table
 from qocc.interference import interference_interval
+
+from conftest import brute_force_cells
 
 
 def run(capsys, *argv):
@@ -73,6 +75,27 @@ class TestCount:
         assert code == 0
         expected = marginals(count_corpus(docs, "fruits", "vegetables", "apple"))
         assert out.rstrip("\n") == canonical_json(expected.as_dict())
+
+    def test_cold_count_on_mixed_ascii_and_unicode_files_matches_brute_force(self, tmp_path):
+        texts = {
+            "a.txt": "Fruits and vegetables: apple, APPLE pie.",
+            "b.txt": "\u00c4pfel und Gem\u00fcse \u2014 fruits\x0bvegetables",
+            "c.txt": "\u212aiwi fruits_2vegetables",  # KELVIN SIGN lowercases to ASCII 'k'
+            "d.txt": "",
+            "e.txt": "Stra\u00dfe \u0130stanbul apple\u00b2 kiwi VEGETABLES",
+        }
+        for name, text in texts.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        docs = [Document(name, _WORD_RE.findall(text.lower())) for name, text in texts.items()]
+        env = {**os.environ, "PYTHONPATH": str(Path(qocc.__file__).parents[1])}
+        for x in ("apple", "\u00e4pfel", "kiwi", "absent"):
+            done = subprocess.run(
+                [sys.executable, "-m", "qocc.cli", "count", str(tmp_path), "fruits", "vegetables", x],
+                capture_output=True, text=True, env=env,
+            )
+            assert done.returncode == 0, done.stderr
+            expected = marginals(brute_force_cells(docs, "fruits", "vegetables", x))
+            assert done.stdout == canonical_json(expected.as_dict()) + "\n"
 
     def test_quiet_suppresses_stdout(self, capsys, tmp_path):
         corpus = self.make_corpus(tmp_path)

@@ -1,11 +1,13 @@
 """Tokenizing, three-term counting, marginals, ratios, and serialization."""
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qocc.corpus import (
+    _WORD_RE,
     CountTable,
     Document,
     ThreeTermCounts,
@@ -19,6 +21,14 @@ from qocc.corpus import (
     tokenize,
 )
 from qocc.errors import InconsistentRatios, InvalidCounts, ZeroDenominator
+
+from conftest import brute_force_cells
+
+# all of ASCII, plus characters that lowercase to ASCII (KELVIN SIGN), to
+# more than one character (dotted capital I), or are letters, digits or
+# neither outside ASCII
+TOKENIZER_ALPHABET = [chr(c) for c in range(128)] + ["\u212a", "\u0130", "\u00df", "\u00b2", "\u00c4"]
+STEMMED = TokenizerConfig(stemmer=lambda tok: tok.rstrip("s"))
 
 
 class TestTokenize:
@@ -38,8 +48,40 @@ class TestTokenize:
         assert tokenize("Äpfel über alles") == ["äpfel", "über", "alles"]
 
     def test_stemmer_hook(self):
-        config = TokenizerConfig(stemmer=lambda tok: tok.rstrip("s"))
-        assert tokenize("fruits stems", config) == ["fruit", "stem"]
+        assert tokenize("fruits stems", STEMMED) == ["fruit", "stem"]
+
+    def test_ascii_fast_path_equals_the_regex(self):
+        """tokenize splits lowered ASCII text without the regex; both branches agree."""
+        branches = set()
+
+        @given(st.text(alphabet=TOKENIZER_ALPHABET, max_size=40))
+        @example("\u212aelvin K")  # lowercases to ASCII: the fast path
+        @example("\u0130stanbul stra\u00dfe x\u00b2y")
+        @example("a\x1cb\x1dc\x1ed\x1fe\x0bf\x0cg")  # str.split separators
+        @example("snake_case2words")
+        @settings(max_examples=300, deadline=None)
+        def check(text):
+            lowered = text.lower()
+            branches.add(lowered.isascii())
+            expected = _WORD_RE.findall(lowered)
+            assert tokenize(text) == expected
+            assert tokenize(text, STEMMED) == [STEMMED.stemmer(tok) for tok in expected]
+
+        check()
+        assert branches == {True, False}
+
+
+class TestDocument:
+    def test_terms_leave_equality_hash_and_repr_alone(self):
+        doc = Document("1", ["a", "b", "a"])
+        assert doc == Document("1", ("a", "b", "a"))
+        assert hash(doc) == hash(("1", ("a", "b", "a")))
+        assert "terms" not in repr(doc)
+        assert doc.terms == frozenset({"a", "b"})
+
+    def test_numpy_string_tokens_count(self):
+        docs = [Document("1", (np.str_("a"), np.str_("x"))), Document("2", np.array(["b"]))]
+        assert count_corpus(docs, "a", "b", "x") == ThreeTermCounts(n101=1, n010=1)
 
 
 class TestCountCorpus:
@@ -98,6 +140,18 @@ class TestCountCorpus:
         whole = count_corpus(docs, "a", "b", "x")
         merged = count_corpus(docs[:13], "a", "b", "x") + count_corpus(docs[13:], "a", "b", "x")
         assert merged == whole
+
+    @given(
+        docs=st.lists(st.lists(st.sampled_from(["a", "b", "x", "y"]), max_size=6), max_size=30),
+        terms=st.tuples(*[st.sampled_from(["a", "b", "x", "absent"])] * 3),
+    )
+    @example(docs=[[], ["a"], ["a", "x"]], terms=("a", "a", "x"))
+    @example(docs=[[], ["a", "b"], ["b", "x"]], terms=("a", "b", "a"))
+    @example(docs=[[], ["a"]], terms=("a", "b", "absent"))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_presence_tally(self, docs, terms):
+        documents = [Document(str(i), tokens) for i, tokens in enumerate(docs)]
+        assert count_corpus(documents, *terms) == brute_force_cells(documents, *terms)
 
 
 class TestMarginals:
@@ -270,6 +324,16 @@ class TestLoadCorpus:
         assert [doc.id for doc in docs] == ["one.txt", "two.txt"]
         assert docs[0].tokens == ("fruits", "here")
 
+    def test_directory_skips_dangling_and_looping_symlinks(self, tmp_path):
+        (tmp_path / "doc.txt").write_text("apple", encoding="utf-8")
+        (tmp_path / "link.txt").symlink_to(tmp_path / "doc.txt")
+        (tmp_path / "dangling").symlink_to(tmp_path / "missing")
+        (tmp_path / "loop").symlink_to(tmp_path / "loop")
+        (tmp_path / "through_file").symlink_to(tmp_path / "doc.txt" / "x")
+        (tmp_path / "sub").mkdir()
+        docs = load_corpus(tmp_path)
+        assert [(doc.id, doc.tokens) for doc in docs] == [("doc.txt", ("apple",)), ("link.txt", ("apple",))]
+
     def test_json_lines_file(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(
@@ -279,6 +343,25 @@ class TestLoadCorpus:
         docs = load_corpus(path)
         assert [doc.id for doc in docs] == ["d1", "d2"]
         assert docs[1].tokens == ("olive", "oil")
+
+    def test_equal_tokens_share_one_string(self, tmp_path):
+        texts = ["Apple pie, apple!", "pie and APPLE", "\u00c4pfel apple \u00e4pfel"]
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(
+            "".join(json.dumps({"id": f"d{i}", "text": t}) + "\n" for i, t in enumerate(texts)),
+            encoding="utf-8",
+        )
+        folder = tmp_path / "dir"
+        folder.mkdir()
+        for i, text in enumerate(texts):
+            (folder / f"d{i}.txt").write_text(text, encoding="utf-8")
+        for docs in (load_corpus(path), load_corpus(folder)):
+            tokens = [tok for doc in docs for tok in doc.tokens]
+            assert tokens == [tok for text in texts for tok in tokenize(text)]
+            for word in ("apple", "pie", "\u00e4pfel"):
+                same = [tok for tok in tokens if tok == word]
+                assert len(same) > 1 and all(tok is same[0] for tok in same)
+                assert all(tok is same[0] for doc in docs for tok in doc.terms if tok == word)
 
     def test_document_rejects_empty_id(self):
         with pytest.raises(InvalidCounts):

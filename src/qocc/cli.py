@@ -129,9 +129,8 @@ def cmd_interval(args: argparse.Namespace) -> int:
         except QoccError as exc:
             return _fail(EXIT_BAD_TABLE, f"interval: {exc}")
     else:
-        missing = [name for name in ("mu_a", "mu_b") if getattr(args, name) is None]
-        if missing:
-            return _fail(EXIT_UNREADABLE, f"interval: --table or --mu-a/--mu-b required")
+        if args.mu_a is None or args.mu_b is None:
+            return _fail(EXIT_UNREADABLE, "interval: --table or --mu-a/--mu-b required")
         try:
             interval = context_interval(
                 args.mu_a, args.mu_b, args.p_a, args.p_b, args.c, args.c_prime

@@ -9,18 +9,22 @@ overlap moduli c, c', and their phases phi, phi':
             p_a + p_b + 2 sqrt(p_a p_b) (sqrt(mu_a mu_b) c cos(phi)
                                          + sqrt((1-mu_a)(1-mu_b)) c' cos(phi'))
 
-Writing x = cos(phi) and x' = cos(phi'), mu_ab is non-decreasing in x and
-non-increasing in x' throughout the admissible parameter box, so extremes sit
-at (x, x') = (-1, +1) and (+1, -1), and one-dimensional bisection along a
-monotone line solves mu_ab = target:
+Writing x = cos(phi) and x' = cos(phi'), numerator and denominator are both
+linear in x and in x', so with one cosine held fixed mu_ab = target is a
+linear equation in the other, solved by one division.  mu_ab is
+non-decreasing in x and non-increasing in x' throughout the admissible
+parameter box, so extremes sit at (x, x') = (-1, +1) and (+1, -1):
 
   * targets between mu_a and mu_b need no interference at all, a weight
     ratio p_a/p_b alone places the convex combination;
   * targets below min(mu_a, mu_b) use c = c' = 1 with p_a/p_b = mu_b/mu_a,
-    which makes mu_ab(x = -1) exactly 0, and bisect x in [-1, 0] at x' = 0;
+    which makes mu_ab(x = -1) exactly 0, and solve for x at x' = 0;
   * targets above max(mu_a, mu_b) use c = c' = 1 with
     p_a/p_b = (1-mu_b)/(1-mu_a), which makes mu_ab(x' = -1) exactly 1, and
-    bisect x' in [-1, 0] at x = 0.
+    solve for x' at x = 0.
+
+Pinned fits solve on the monotone path (-1, +1) -> (+1, +1) -> (+1, -1),
+where the normalization cannot vanish (``fit_params_constrained``).
 
 The probability depends on (p_a, p_b) only through their ratio, so fitted
 pairs are normalized with the larger weight equal to 1.
@@ -35,8 +39,6 @@ from .errors import DegenerateDenominator, InvalidInput, UnreachableTarget
 from .interference import InterferenceInterval
 
 DENOMINATOR_TOL = 1e-12
-BISECT_TOL = 1e-12
-BISECT_MAX_ITER = 200
 RESIDUAL_BOUND = 1e-9
 TWO_PI = 2.0 * math.pi
 
@@ -95,6 +97,19 @@ def _check_measurements(mu_a: float, mu_b: float) -> None:
             raise InvalidInput(f"{name}={value!r} is outside [0, 1]")
 
 
+def _coefficients(
+    mu_a: float, mu_b: float, p_a: float, p_b: float, c: float, c_prime: float
+) -> tuple[float, float, float, float, float]:
+    """(a, b, g, k, k') with mu_ab = (a + g*(k*x)) / (b + g*(k*x + k'*x'))."""
+    return (
+        p_a * mu_a + p_b * mu_b,
+        p_a + p_b,
+        2.0 * math.sqrt(p_a * p_b),
+        math.sqrt(mu_a * mu_b) * c,
+        math.sqrt((1.0 - mu_a) * (1.0 - mu_b)) * c_prime,
+    )
+
+
 def mu_ab_cosines(
     mu_a: float,
     mu_b: float,
@@ -107,11 +122,9 @@ def mu_ab_cosines(
 ) -> float:
     """Model probability with the phases given directly as cosines."""
     _check_measurements(mu_a, mu_b)
-    geom = math.sqrt(p_a * p_b)
-    cross = math.sqrt(mu_a * mu_b) * c * x
-    cross_bar = math.sqrt((1.0 - mu_a) * (1.0 - mu_b)) * c_prime * x_prime
-    numerator = p_a * mu_a + p_b * mu_b + 2.0 * geom * cross
-    denominator = p_a + p_b + 2.0 * geom * (cross + cross_bar)
+    a, b, g, k, k_prime = _coefficients(mu_a, mu_b, p_a, p_b, c, c_prime)
+    numerator = a + g * (k * x)
+    denominator = b + g * (k * x + k_prime * x_prime)
     if denominator <= DENOMINATOR_TOL:
         raise DegenerateDenominator("model normalization vanished for these parameters")
     return min(1.0, max(0.0, numerator / denominator))
@@ -165,46 +178,44 @@ def _normalized_weights(ratio: float) -> tuple[float, float]:
     return ratio, 1.0
 
 
-def _bisect(evaluate, lo: float, hi: float, target: float):
-    """Root of evaluate(x) = target on [lo, hi], evaluate non-decreasing.
+def _solve_cosine(coeffs: tuple[float, ...], target: float, fixed: float, for_x: bool) -> float:
+    """The cosine x (for_x) or x' at which mu_ab = target, the other one held at fixed.
 
-    Returns (x, value).  The bracket is checked first; a target outside it is
-    unreachable by construction.
+    With the denominator cleared, mu_ab = target reads
+    (a - target*b) + slope_x*x + slope_x_prime*x' = 0; the root is clipped to [-1, 1].
     """
-    f_lo = evaluate(lo)
-    f_hi = evaluate(hi)
-    if not (f_lo - BISECT_TOL <= target <= f_hi + BISECT_TOL):
-        raise UnreachableTarget(
-            f"target {target!r} outside bracket values [{f_lo!r}, {f_hi!r}]"
-        )
-    best_x, best_val = (lo, f_lo) if abs(f_lo - target) <= abs(f_hi - target) else (hi, f_hi)
-    for _ in range(BISECT_MAX_ITER):
-        if abs(best_val - target) <= BISECT_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        f_mid = evaluate(mid)
-        if abs(f_mid - target) < abs(best_val - target):
-            best_x, best_val = mid, f_mid
-        if f_mid < target:
-            lo = mid
-        else:
-            hi = mid
-    return best_x, best_val
+    a, b, g, k, k_prime = coeffs
+    slope_x, slope_x_prime = g * k * (1.0 - target), -g * k_prime * target
+    slope, other = (slope_x, slope_x_prime) if for_x else (slope_x_prime, slope_x)
+    if slope == 0.0:
+        return 0.0  # c = 0, c' = 0 or target in {0, 1}: the equation ignores this cosine
+    return min(1.0, max(-1.0, -(a - target * b + other * fixed) / slope))
 
 
-def fit_params(mu_a: float, mu_b: float, target: float) -> FitResult:
-    """Find parameters with mu_ab_full(mu_a, mu_b, params) = target.
-
-    The fit exhibits one solution, it does not claim uniqueness.  Exact
-    targets 0 and 1 use the closed-form endpoint weight ratios and skip
-    bisection entirely.
-    """
+def _check_fit_inputs(mu_a: float, mu_b: float, target: float) -> None:
     for name, value in (("mu_a", mu_a), ("mu_b", mu_b)):
         if not 0.0 < value < 1.0:
             raise InvalidInput(f"{name}={value!r} must be strictly inside (0, 1)")
     if not 0.0 <= target <= 1.0:
         raise InvalidInput(f"target={target!r} is outside [0, 1]")
 
+
+def _checked_fit(
+    mu_a: float, mu_b: float, target: float, params: ModelParams, strategy: FitStrategy
+) -> FitResult:
+    residual = abs(mu_ab_full(mu_a, mu_b, params) - target)
+    if residual > RESIDUAL_BOUND:
+        raise UnreachableTarget(f"fit residual {residual!r} exceeds {RESIDUAL_BOUND}")
+    return FitResult(params=params, residual=residual, strategy=strategy)
+
+
+def fit_params(mu_a: float, mu_b: float, target: float) -> FitResult:
+    """Find parameters with mu_ab_full(mu_a, mu_b, params) = target.
+
+    The fit exhibits one solution, it does not claim uniqueness.  Exact
+    targets 0 and 1 use the closed-form endpoint weight ratios and phases.
+    """
+    _check_fit_inputs(mu_a, mu_b, target)
     low, high = min(mu_a, mu_b), max(mu_a, mu_b)
 
     if target == 0.0:
@@ -225,30 +236,21 @@ def fit_params(mu_a: float, mu_b: float, target: float) -> FitResult:
         strategy = FitStrategy.CONVEX_NO_INTERFERENCE
     elif target >= high:
         # interference must push above both: mu_ab(x'=-1) is identically 1
-        # for this weight ratio, so walk x' down from the convex value at 0
+        # for this weight ratio, so x' lies between that and the convex value at 0
         p_a, p_b = _normalized_weights((1.0 - mu_b) / (1.0 - mu_a))
-        x_prime, _ = _bisect(
-            lambda xp: mu_ab_cosines(mu_a, mu_b, p_a, p_b, 1.0, 1.0, 0.0, -xp),
-            # evaluate in -x' so the function is non-decreasing on [0, 1]
-            0.0, 1.0, target,
-        )
-        params = ModelParams(p_a, p_b, 1.0, 1.0, math.pi / 2.0, math.acos(-x_prime))
+        coeffs = _coefficients(mu_a, mu_b, p_a, p_b, 1.0, 1.0)
+        x_prime = _solve_cosine(coeffs, target, 0.0, for_x=False)
+        params = ModelParams(p_a, p_b, 1.0, 1.0, math.pi / 2.0, math.acos(x_prime))
         strategy = FitStrategy.OVEREXTENSION_BRANCH
     else:
         # interference must pull below both: mu_ab(x=-1) is exactly 0 for
-        # this weight ratio, bisect x between that and the convex value
+        # this weight ratio, so x lies between that and the convex value at 0
         p_a, p_b = _normalized_weights(mu_b / mu_a)
-        x, _ = _bisect(
-            lambda xv: mu_ab_cosines(mu_a, mu_b, p_a, p_b, 1.0, 1.0, xv, 0.0),
-            -1.0, 0.0, target,
-        )
+        coeffs = _coefficients(mu_a, mu_b, p_a, p_b, 1.0, 1.0)
+        x = _solve_cosine(coeffs, target, 0.0, for_x=True)
         params = ModelParams(p_a, p_b, 1.0, 1.0, math.acos(x), math.pi / 2.0)
         strategy = FitStrategy.UNDEREXTENSION_BRANCH
-
-    residual = abs(mu_ab_full(mu_a, mu_b, params) - target)
-    if residual > RESIDUAL_BOUND:
-        raise UnreachableTarget(f"fit residual {residual!r} exceeds {RESIDUAL_BOUND}")
-    return FitResult(params=params, residual=residual, strategy=strategy)
+    return _checked_fit(mu_a, mu_b, target, params, strategy)
 
 
 def fit_params_constrained(
@@ -263,37 +265,31 @@ def fit_params_constrained(
     """Solve for phases only, with weights and moduli pinned by the caller.
 
     The target must lie inside the context interval of the pinned
-    parameters.  The solution walks the monotone two-leg path from the
-    interval minimum at (x, x') = (-1, +1) through (-1, -1) to the maximum
-    at (+1, -1).  The reported strategy records where the target sits
-    relative to [min(mu_a, mu_b), max(mu_a, mu_b)].
+    parameters, from (x, x') = (-1, +1) to (+1, -1).  The solve walks the
+    monotone path between them through (+1, +1), x rising at x' = +1 and then
+    x' falling at x = +1, with one division on the leg that holds the target.
+    Along it the normalization is at least p_a + p_b - 2 sqrt(p_a p_b) max(k, k')
+    (k, k' the cosine coefficients of ``_coefficients``), positive for mu strictly
+    inside (0, 1); through (-1, -1) it vanishes for equal measurements and
+    weights with unit moduli.  The reported strategy records where the target
+    sits relative to [min(mu_a, mu_b), max(mu_a, mu_b)].
     """
-    for name, value in (("mu_a", mu_a), ("mu_b", mu_b)):
-        if not 0.0 < value < 1.0:
-            raise InvalidInput(f"{name}={value!r} must be strictly inside (0, 1)")
-    if not 0.0 <= target <= 1.0:
-        raise InvalidInput(f"target={target!r} is outside [0, 1]")
-    _check_weights_and_moduli(p_a, p_b, c, c_prime)
-
-    def along_path(t: float) -> tuple[float, float]:
-        if t <= 1.0:
-            return -1.0, 1.0 - 2.0 * t
-        return -1.0 + 2.0 * (t - 1.0), -1.0
-
-    t_root, _ = _bisect(
-        lambda t: mu_ab_cosines(mu_a, mu_b, p_a, p_b, c, c_prime, *along_path(t)),
-        0.0, 2.0, target,
-    )
-    x, x_prime = along_path(t_root)
+    _check_fit_inputs(mu_a, mu_b, target)
+    interval = context_interval(mu_a, mu_b, p_a, p_b, c, c_prime)
+    if not interval.contains(target, RESIDUAL_BOUND):
+        raise UnreachableTarget(
+            f"target {target!r} is outside the pinned interval [{interval.lo!r}, {interval.hi!r}]"
+        )
+    coeffs = _coefficients(mu_a, mu_b, p_a, p_b, c, c_prime)
+    if target <= mu_ab_cosines(mu_a, mu_b, p_a, p_b, c, c_prime, 1.0, 1.0):
+        x, x_prime = _solve_cosine(coeffs, target, 1.0, for_x=True), 1.0
+    else:
+        x, x_prime = 1.0, _solve_cosine(coeffs, target, 1.0, for_x=False)
     params = ModelParams(p_a, p_b, c, c_prime, math.acos(x), math.acos(x_prime))
-    residual = abs(mu_ab_full(mu_a, mu_b, params) - target)
-    if residual > RESIDUAL_BOUND:
-        raise UnreachableTarget(f"fit residual {residual!r} exceeds {RESIDUAL_BOUND}")
-
     if target > max(mu_a, mu_b):
         strategy = FitStrategy.OVEREXTENSION_BRANCH
     elif target < min(mu_a, mu_b):
         strategy = FitStrategy.UNDEREXTENSION_BRANCH
     else:
         strategy = FitStrategy.CONVEX_NO_INTERFERENCE
-    return FitResult(params=params, residual=residual, strategy=strategy)
+    return _checked_fit(mu_a, mu_b, target, params, strategy)

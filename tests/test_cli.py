@@ -1,4 +1,6 @@
 """Command-line behavior: exit codes, canonical JSON, parity with the library."""
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qocc
 from qocc import fixtures
@@ -224,17 +228,23 @@ class TestFit:
         expected = fit_params_constrained(0.0522, 0.213, 0.29, 0.5, 0.5, 0.5, 0.5)
         assert payload == json.loads(canonical_json(expected.as_dict()))
 
-    def test_model_failure_in_pinned_solve_exits_1(self, capsys):
+    def test_pinned_solve_steps_around_the_vanishing_corner(self, capsys):
         # equal measurements and weights with unit moduli make the model's
-        # normalization vanish at (x, x') = (-1, -1), a corner the solve walks
-        # through; the failure must reach the user as exit 1, not a traceback
-        code, out, err = run(
-            capsys, "fit", "--mu-a", "0.3", "--mu-b", "0.3", "--target", "0.3",
+        # normalization vanish at (x, x') = (-1, -1); the pinned solve's path
+        # avoids that corner, so the target inside the interval [0, 1] is reached
+        argv = (
+            "fit", "--mu-a", "0.3", "--mu-b", "0.3", "--target", "0.3",
             "--p-a", "1", "--p-b", "1", "--c", "1", "--c-prime", "1",
         )
-        assert code == 1
-        assert out == ""
-        assert err.startswith("fit: ")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("strategy=convex_no_interference ")
+        code, out, err = run(capsys, "--json", *argv)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["residual"] <= 1e-9
+        pins = (payload["p_a"], payload["p_b"], payload["c"], payload["c_prime"])
+        assert pins == (1.0, 1.0, 1.0, 1.0)
 
     def test_unreachable_pinned_target_exits_1(self, capsys):
         code, _, err = run(
@@ -257,6 +267,59 @@ class TestFit:
             assert code == 0
             expected = canonical_json(fit_params(mu_a, mu_b, target).as_dict())
             assert out.rstrip("\n") == expected
+
+
+# option values for the argv fuzz: any float, the IEEE specials, the unit
+# interval's ends and values just outside it
+FUZZ_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(0.0, 1.0).map(repr),
+    st.sampled_from([
+        "nan", "inf", "-inf", "0", "1", "1e-300", "-1e-300", "-0.0",
+        "1.0000000000000002", "-5e-324", "1.5", "-0.5", "2",
+    ]),
+)
+PIN_OPTIONS = ("--p-a", "--p-b", "--c", "--c-prime")
+
+
+class TestArgvFuzz:
+    """Every fit and pinned-interval argv ends in a documented exit code."""
+
+    @staticmethod
+    def exit_code(argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                return main(argv)
+            except SystemExit as exc:
+                return exc.code
+
+    @given(
+        json_flag=st.booleans(),
+        measurements=st.tuples(FUZZ_VALUES, FUZZ_VALUES, FUZZ_VALUES),
+        pins=st.dictionaries(st.sampled_from(PIN_OPTIONS), FUZZ_VALUES),
+    )
+    @example(json_flag=False, measurements=("0.3", "0.3", "0.3"),
+             pins=dict.fromkeys(PIN_OPTIONS, "1"))
+    @settings(max_examples=300, deadline=None)
+    def test_fit(self, json_flag, measurements, pins):
+        mu_a, mu_b, target = measurements
+        argv = ["--json"] * json_flag + [
+            "fit", f"--mu-a={mu_a}", f"--mu-b={mu_b}", f"--target={target}",
+        ] + [f"{option}={value}" for option, value in pins.items()]
+        assert self.exit_code(argv) in range(7)
+
+    @given(
+        json_flag=st.booleans(),
+        measurements=st.tuples(FUZZ_VALUES, FUZZ_VALUES),
+        pins=st.dictionaries(st.sampled_from(PIN_OPTIONS), FUZZ_VALUES),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_pinned_interval(self, json_flag, measurements, pins):
+        mu_a, mu_b = measurements
+        argv = ["--json"] * json_flag + ["interval", f"--mu-a={mu_a}", f"--mu-b={mu_b}"] + [
+            f"{option}={value}" for option, value in pins.items()
+        ]
+        assert self.exit_code(argv) in range(7)
 
 
 def self_consistent_rows():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qocc.context_model import (
     FitStrategy,
@@ -199,6 +201,14 @@ class TestMonotonicity:
                 assert diffs.min() >= -1e-12
 
 
+# measurements strictly inside (0, 1), kept 1e-6 from the ends: at 1e-12 from
+# an end the phase round trip alone loses the 1e-9 residual in float64
+MEASUREMENTS = st.floats(1e-6, 1.0 - 1e-6)
+WEIGHTS = st.floats(1e-3, 1.0)
+MODULI = st.floats(0.0, 1.0)
+EDGE_MODULI = st.sampled_from((0.0, 1e-9, 0.5, 1.0))
+
+
 class TestMuAbConvex:
     def test_equal_weights(self):
         assert mu_ab_convex(0.2, 0.8, 1.0, 1.0) == pytest.approx(0.5)
@@ -291,6 +301,20 @@ class TestFitParams:
         with pytest.raises(InvalidInput):
             fit_params(0.3, 0.5, 1.2)
 
+    @given(
+        mus=st.one_of(st.tuples(MEASUREMENTS, MEASUREMENTS), MEASUREMENTS.map(lambda mu: (mu, mu))),
+        choice=st.one_of(
+            st.sampled_from(("mu_a", "mu_b", 0.0, 1.0, 1e-9, 1.0 - 1e-9)), st.floats(0.0, 1.0)
+        ),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_edge_measurements_and_targets(self, mus, choice):
+        mu_a, mu_b = mus
+        target = {"mu_a": mu_a, "mu_b": mu_b}.get(choice, choice)
+        result = fit_params(mu_a, mu_b, target)
+        assert result.residual <= 1e-9
+        assert max(result.params.p_a, result.params.p_b) == 1.0
+
     def test_strategy_agrees_with_extension_class(self, rng):
         for _ in range(200):
             mu_a = float(rng.uniform(0.01, 0.99))
@@ -325,3 +349,36 @@ class TestFitParamsConstrained:
             result = fit_params_constrained(mu_a, mu_b, target, p_a, p_b, c, c_prime)
             assert result.residual <= 1e-9
             assert (result.params.p_a, result.params.p_b) == (p_a, p_b)
+
+    @given(
+        setting=st.one_of(
+            # equal measurements and weights with moduli at their edges, where
+            # the normalization can vanish off the solve's path
+            st.tuples(MEASUREMENTS, WEIGHTS, EDGE_MODULI, EDGE_MODULI).map(
+                lambda s: (s[0], s[0], s[1], s[1], s[2], s[3])
+            ),
+            st.tuples(MEASUREMENTS, MEASUREMENTS, WEIGHTS, WEIGHTS, MODULI, MODULI),
+        ),
+        position=st.one_of(st.sampled_from(("lo", "hi")), st.floats(0.0, 1.0)),
+    )
+    @example(setting=(0.3, 0.3, 1.0, 1.0, 1.0, 1.0), position=0.3)
+    @settings(max_examples=400, deadline=None)
+    def test_pinned_solve_reaches_every_target_in_the_interval(self, setting, position):
+        mu_a, mu_b, p_a, p_b, c, c_prime = setting
+        interval = context_interval(mu_a, mu_b, p_a, p_b, c, c_prime)
+        if position == "lo":
+            target = interval.lo
+        elif position == "hi":
+            target = interval.hi
+        else:
+            target = min(interval.hi, interval.lo + position * (interval.hi - interval.lo))
+        result = fit_params_constrained(mu_a, mu_b, target, p_a, p_b, c, c_prime)
+        assert result.residual <= 1e-9
+        params = result.params
+        assert (params.p_a, params.p_b, params.c, params.c_prime) == (p_a, p_b, c, c_prime)
+        if target > max(mu_a, mu_b):
+            assert result.strategy is FitStrategy.OVEREXTENSION_BRANCH
+        elif target < min(mu_a, mu_b):
+            assert result.strategy is FitStrategy.UNDEREXTENSION_BRANCH
+        else:
+            assert result.strategy is FitStrategy.CONVEX_NO_INTERFERENCE

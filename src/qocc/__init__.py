@@ -34,15 +34,10 @@ from .corpus import (
     tokenize,
 )
 from .errors import (
-    AnnihilatedState,
     DegenerateDenominator,
-    DegenerateSuperposition,
-    DimensionMismatch,
-    EmptyIndexSet,
     InconsistentRatios,
     InvalidCounts,
     InvalidInput,
-    NumericsError,
     QoccError,
     UnreachableTarget,
     ZeroDenominator,
@@ -63,13 +58,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",
-    "AnnihilatedState",
     "CountTable",
     "DegenerateDenominator",
-    "DegenerateSuperposition",
-    "DimensionMismatch",
     "Document",
-    "EmptyIndexSet",
     "ExtensionClass",
     "FitResult",
     "FitStrategy",
@@ -78,7 +69,6 @@ __all__ = [
     "InvalidCounts",
     "InvalidInput",
     "ModelParams",
-    "NumericsError",
     "PhaseAssignment",
     "ProbabilityTriple",
     "QoccError",

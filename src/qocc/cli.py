@@ -92,7 +92,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         table = _read_table(args.table)
     except OSError as exc:
         return _fail(EXIT_UNREADABLE, f"analyze: cannot read table: {exc}")
-    except (json.JSONDecodeError, UnicodeDecodeError, InvalidCounts) as exc:
+    except (ValueError, InvalidCounts) as exc:
         return _fail(EXIT_BAD_TABLE, f"analyze: invalid count table: {exc}")
     try:
         report = build_report(table)
@@ -122,7 +122,7 @@ def cmd_interval(args: argparse.Namespace) -> int:
             table = _read_table(args.table)
         except OSError as exc:
             return _fail(EXIT_UNREADABLE, f"interval: cannot read table: {exc}")
-        except (json.JSONDecodeError, UnicodeDecodeError, InvalidCounts) as exc:
+        except (ValueError, InvalidCounts) as exc:
             return _fail(EXIT_BAD_TABLE, f"interval: invalid count table: {exc}")
         try:
             interval = interference_interval(table)

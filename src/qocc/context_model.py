@@ -9,11 +9,15 @@ overlap moduli c, c', and their phases phi, phi':
             p_a + p_b + 2 sqrt(p_a p_b) (sqrt(mu_a mu_b) c cos(phi)
                                          + sqrt((1-mu_a)(1-mu_b)) c' cos(phi'))
 
-Writing x = cos(phi) and x' = cos(phi'), numerator and denominator are both
-linear in x and in x', so with one cosine held fixed mu_ab = target is a
-linear equation in the other, solved by one division.  mu_ab is
-non-decreasing in x and non-increasing in x' throughout the admissible
-parameter box, so extremes sit at (x, x') = (-1, +1) and (+1, -1):
+Writing x = cos(phi) and x' = cos(phi'), this is the ratio
+(a + g u) / (b + g v) of ``interference._model_ratio`` with u = k x and
+v = k x + k' x' (a, b, g, k, k' from ``_coefficients``); the interference
+interval is the same model at p_a = p_b with count-derived k and d = k - k'.
+Numerator and denominator are both linear in x and in x', so with one cosine
+held fixed mu_ab = target is a linear equation in the other, solved by one
+division.  mu_ab is non-decreasing in x and non-increasing in x' throughout
+the admissible parameter box, so extremes sit at (x, x') = (-1, +1) and
+(+1, -1):
 
   * targets between mu_a and mu_b need no interference at all, a weight
     ratio p_a/p_b alone places the convex combination;
@@ -36,11 +40,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateDenominator, InvalidInput, UnreachableTarget
-from .interference import InterferenceInterval
+from .interference import DENOMINATOR_TOL, InterferenceInterval, _model_ratio
 
-DENOMINATOR_TOL = 1e-12
 RESIDUAL_BOUND = 1e-9
 TWO_PI = 2.0 * math.pi
+_VANISHED = "model normalization vanished for these parameters"
 
 
 class FitStrategy(enum.Enum):
@@ -123,11 +127,7 @@ def mu_ab_cosines(
     """Model probability with the phases given directly as cosines."""
     _check_measurements(mu_a, mu_b)
     a, b, g, k, k_prime = _coefficients(mu_a, mu_b, p_a, p_b, c, c_prime)
-    numerator = a + g * (k * x)
-    denominator = b + g * (k * x + k_prime * x_prime)
-    if denominator <= DENOMINATOR_TOL:
-        raise DegenerateDenominator("model normalization vanished for these parameters")
-    return min(1.0, max(0.0, numerator / denominator))
+    return min(1.0, max(0.0, _model_ratio(a, b, g, k * x, k * x + k_prime * x_prime, _VANISHED)))
 
 
 def mu_ab_full(mu_a: float, mu_b: float, params: ModelParams) -> float:
@@ -157,18 +157,19 @@ def context_interval(
 ) -> InterferenceInterval:
     """Probability range over all phases at fixed weights and moduli.
 
-    Weights and moduli must lie in the domains ``ModelParams`` enforces;
-    anything else raises InvalidInput.
+    The endpoints sit at (x, x') = (-1, +1) and (+1, -1), that is at
+    (u, v) = (-k, -d) and (k, d) with d = k - k', clamped to [0, 1].  Weights
+    and moduli must lie in the domains ``ModelParams`` enforces; anything else
+    raises InvalidInput.
     """
     _check_weights_and_moduli(p_a, p_b, c, c_prime)
-    raw_lo = mu_ab_cosines(mu_a, mu_b, p_a, p_b, c, c_prime, -1.0, 1.0)
-    raw_hi = mu_ab_cosines(mu_a, mu_b, p_a, p_b, c, c_prime, 1.0, -1.0)
-    return InterferenceInterval(
-        lo=min(1.0, max(0.0, raw_lo)),
-        hi=min(1.0, max(0.0, raw_hi)),
-        raw_lo=raw_lo,
-        raw_hi=raw_hi,
+    _check_measurements(mu_a, mu_b)
+    a, b, g, k, k_prime = _coefficients(mu_a, mu_b, p_a, p_b, c, c_prime)
+    lo, hi = (
+        min(1.0, max(0.0, _model_ratio(a, b, g, u, v, _VANISHED)))
+        for u, v in ((-k, -(k - k_prime)), (k, k - k_prime))
     )
+    return InterferenceInterval(lo=lo, hi=hi, raw_lo=lo, raw_hi=hi)
 
 
 def _normalized_weights(ratio: float) -> tuple[float, float]:

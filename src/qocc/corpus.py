@@ -173,7 +173,7 @@ class CountTable:
     """Marginal page counts for words a, b, x and their co-occurrences.
 
     Structural invariants enforced here are the ones every formula in the
-    package needs: nonnegative cells, n_abx <= n_ab, n_ax <= n_a, n_bx <= n_b,
+    package needs: integer cells in [0, 2**53], n_abx <= n_ab, n_ax <= n_a, n_bx <= n_b,
     n_ab <= min(n_a, n_b).  Cross-marginal consistency (for example
     n_abx <= n_ax) is reported by ``classically_consistent`` instead of
     enforced, because externally measured search counts routinely violate it.
@@ -192,6 +192,8 @@ class CountTable:
                 raise InvalidCounts(f"{name} must be an integer, got {value!r}")
             if value < 0:
                 raise InvalidCounts(f"{name} is negative: {value}")
+            if value > 2**53:
+                raise InvalidCounts(f"{name} exceeds 2**53, above which counts are not exact as floats")
         if self.n_ab > min(self.n_a, self.n_b):
             raise InvalidCounts(f"n_ab={self.n_ab} exceeds min(n_a, n_b)")
         if self.n_ax > self.n_a:

@@ -5,26 +5,6 @@ class QoccError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DimensionMismatch(QoccError):
-    """Operands live in Hilbert spaces of different dimension."""
-
-
-class AnnihilatedState(QoccError):
-    """A context projection left (numerically) nothing of the state."""
-
-
-class DegenerateSuperposition(QoccError):
-    """The two states cancel, so their sum cannot be normalized."""
-
-
-class EmptyIndexSet(QoccError):
-    """A basis-index set that must be nonempty is empty."""
-
-
-class NumericsError(QoccError):
-    """A computed value violates a bound by more than round-off can explain."""
-
-
 class ZeroDenominator(QoccError):
     """A count that serves as a denominator is zero."""
 

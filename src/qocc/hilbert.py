@@ -13,6 +13,8 @@ Implements:
   * mu_combined: probability of the combined concept, computed along two
     independent routes (projected superposition vs. the term-by-term
     expansion) and cross-checked.
+  * DimensionMismatch, AnnihilatedState, DegenerateSuperposition,
+    EmptyIndexSet, NumericsError: the oracle's own QoccError subclasses.
 
 Everything here is brute-force linear algebra at small dimension.  The
 aggregate count-ratio formulas elsewhere in the package are tested against
@@ -27,13 +29,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import (
-    AnnihilatedState,
-    DegenerateSuperposition,
-    DimensionMismatch,
-    EmptyIndexSet,
-    NumericsError,
-)
+from .errors import QoccError
 
 NORM_TOL = 1e-12          # unit-norm acceptance for states
 PROJECTOR_TOL = 1e-10     # Hermiticity / idempotence acceptance, entrywise
@@ -41,6 +37,26 @@ ANNIHILATION_TOL = 1e-12  # smallest surviving norm after a context projection
 CLAMP_TOL = 1e-9          # probability round-off absorbed silently
 ORACLE_PATH_TOL = 1e-12   # agreement required between the two mu routes
 DENSE_DIM_LIMIT = 64      # dense matrices are an oracle-scale device only
+
+
+class DimensionMismatch(QoccError):
+    """Operands live in Hilbert spaces of different dimension."""
+
+
+class AnnihilatedState(QoccError):
+    """A context projection left (numerically) nothing of the state."""
+
+
+class DegenerateSuperposition(QoccError):
+    """The two states cancel, so their sum cannot be normalized."""
+
+
+class EmptyIndexSet(QoccError):
+    """A basis-index set that must be nonempty is empty."""
+
+
+class NumericsError(QoccError):
+    """A computed value violates a bound by more than round-off can explain."""
 
 
 def as_probability(value: float) -> float:

@@ -2,16 +2,19 @@
 
 With both concepts in uniform-modulus states over their page sets, the
 combined-concept probability depends on the per-page phase differences only
-through two cosine sums: one over pages carrying all three words, one over
-pages carrying the first two but not the third,
+through two cosine sums, k_x over the pages carrying all three words and k_xp
+over the pages carrying the first two but not the third:
 
-    mu = (avg + k_x / r) / (1 + (k_x + k_xp) / r),
+    mu = (a + 2 k_x / r) / (2 + 2 (k_x + k_xp) / r),
 
-where avg = (n_ax/n_a + n_bx/n_b) / 2 and r = sqrt(n_a * n_b).  Sweeping the
-phases sweeps k_x over [-n_abx, n_abx] and k_xp over [-n_abx', n_abx'], which
-yields a closed-form admissible interval for mu: the maximum sets every
-cosine over the x-pages to +1 and every cosine over the x'-pages to -1, the
-minimum does the opposite.
+with a = n_ax/n_a + n_bx/n_b and r = sqrt(n_a * n_b).  This is the context
+model of ``context_model`` at p_a = p_b in count coordinates (b = g = 2,
+u = k_x / r for k x, v = (k_x + k_xp) / r for k x + k' x'), and both modules
+evaluate it through the one ratio ``_model_ratio``.  Sweeping the phases sweeps
+k_x over [-n_abx, n_abx] and k_xp over [-n_abx', n_abx'], so the interval is the
+model's at count-derived k = n_abx / r and d = k - k' = (n_abx - n_abx') / r:
+the maximum, (u, v) = (k, d), sets every cosine over the x-pages to +1 and every
+cosine over the x'-pages to -1; the minimum, (-k, -d), does the opposite.
 """
 from __future__ import annotations
 
@@ -70,11 +73,30 @@ class ExtensionClass(enum.Enum):
     BOUNDARY = "boundary"
 
 
-def _mean_and_scale(table: CountTable) -> tuple[float, float]:
+def _model_ratio(
+    a: float, b: float, g: float, u: float, v: float, message: str, tol: float = DENOMINATOR_TOL
+) -> float:
+    """(a + g*u) / (b + g*v), the model's combined probability.
+
+    A normalization b + g*v at or below tol raises DegenerateDenominator(message).
+    """
+    denominator = b + g * v
+    if denominator <= tol:
+        raise DegenerateDenominator(message)
+    return (a + g * u) / denominator
+
+
+def _count_ratios(table: CountTable, message: str, *sums: tuple[float, float]) -> list[float]:
+    """The model ratio in count coordinates at each (k_x, k_x + k_x') of sums.
+
+    b = g = 2 doubles the normalization 1 + (k_x + k_x') / r, and the singular
+    threshold doubles with it.
+    """
     if table.n_a == 0 or table.n_b == 0:
         raise DegenerateDenominator("n_a and n_b must be positive")
-    avg = 0.5 * (table.n_ax / table.n_a + table.n_bx / table.n_b)
-    return avg, math.sqrt(table.n_a * table.n_b)
+    a = table.n_ax / table.n_a + table.n_bx / table.n_b
+    r = math.sqrt(table.n_a * table.n_b)
+    return [_model_ratio(a, 2.0, 2.0, u / r, v / r, message, 2.0 * DENOMINATOR_TOL) for u, v in sums]
 
 
 def mu_ab_interference_sums(table: CountTable, k_x: float, k_x_prime: float) -> float:
@@ -83,11 +105,8 @@ def mu_ab_interference_sums(table: CountTable, k_x: float, k_x_prime: float) -> 
         raise InvalidInput(f"k_x={k_x!r} outside [-n_abx, n_abx]")
     if not -table.n_abx_prime - 1e-9 <= k_x_prime <= table.n_abx_prime + 1e-9:
         raise InvalidInput(f"k_x_prime={k_x_prime!r} outside [-n_abx', n_abx']")
-    avg, scale = _mean_and_scale(table)
-    denominator = 1.0 + (k_x + k_x_prime) / scale
-    if denominator <= DENOMINATOR_TOL:
-        raise DegenerateDenominator("phase choice drives the normalization to zero")
-    return (avg + k_x / scale) / denominator
+    message = "phase choice drives the normalization to zero"
+    return _count_ratios(table, message, (k_x, k_x + k_x_prime))[0]
 
 
 def mu_ab_interference(table: CountTable, phases: PhaseAssignment) -> float:
@@ -108,23 +127,10 @@ def mu_ab_interference(table: CountTable, phases: PhaseAssignment) -> float:
 
 def interference_interval(table: CountTable) -> InterferenceInterval:
     """Range of the combined probability over all phase assignments."""
-    avg, scale = _mean_and_scale(table)
-    spread = table.n_abx / scale
-    skew = (table.n_abx - table.n_abx_prime) / scale
-    denom_lo = 1.0 - skew
-    denom_hi = 1.0 + skew
-    if denom_lo <= DENOMINATOR_TOL or denom_hi <= DENOMINATOR_TOL:
-        raise DegenerateDenominator(
-            "|n_abx - n_abx'| reaches sqrt(n_a * n_b); the extremal ratio is singular"
-        )
-    raw_lo = (avg - spread) / denom_lo
-    raw_hi = (avg + spread) / denom_hi
-    return InterferenceInterval(
-        lo=min(1.0, max(0.0, raw_lo)),
-        hi=min(1.0, max(0.0, raw_hi)),
-        raw_lo=raw_lo,
-        raw_hi=raw_hi,
-    )
+    d = table.n_abx - table.n_abx_prime
+    message = "|n_abx - n_abx'| reaches sqrt(n_a * n_b); the extremal ratio is singular"
+    raw_lo, raw_hi = _count_ratios(table, message, (-table.n_abx, -d), (table.n_abx, d))
+    return InterferenceInterval(min(1.0, max(0.0, raw_lo)), min(1.0, max(0.0, raw_hi)), raw_lo, raw_hi)
 
 
 def fits_interference_only(table: CountTable) -> bool:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -280,10 +281,44 @@ FUZZ_VALUES = st.one_of(
     ]),
 )
 PIN_OPTIONS = ("--p-a", "--p-b", "--c", "--c-prime")
+TABLE_COMMANDS = (("analyze", "-"), ("interval", "--table", "-"))
+
+
+@st.composite
+def table_json(draw):
+    """Count-table JSON text: a valid small table, some of its values replaced or dropped.
+
+    The small tables reach every boundary: zero counts, equal marginals,
+    n_abx = n_ab (x on every page); a scale factor takes some up to 2**53.
+    """
+    n_a = draw(st.integers(0, 6))
+    n_b = draw(st.one_of(st.just(n_a), st.integers(0, 6)))
+    n_ab = draw(st.integers(0, min(n_a, n_b)))
+    table = {
+        "n_a": n_a, "n_b": n_b, "n_ab": n_ab, "n_ax": draw(st.integers(0, n_a)),
+        "n_bx": draw(st.integers(0, n_b)), "n_abx": draw(st.integers(0, n_ab)),
+    }
+    scale = draw(st.sampled_from([1, 1, 1, 10**9, 2**53 // 6]))
+    texts = {key: str(value * scale) for key, value in table.items()}
+    for key in draw(st.sets(st.sampled_from(list(texts)))):
+        texts[key] = draw(st.none() | TABLE_VALUES)  # None drops the key
+    return "{" + ",".join(f'"{key}": {text}' for key, text in texts.items() if text is not None) + "}"
+
+
+# JSON values for a count: ints around and far above 2**53 (one too long for
+# json.loads to parse), integral and fractional floats, the IEEE specials,
+# booleans and other types
+TABLE_VALUES = st.one_of(
+    st.integers(2**53 - 2, 2**53 + 2).map(str),
+    st.integers(2**53, 10**400).map(str),
+    st.integers(0, 50).map(lambda n: repr(float(n))),
+    st.floats(allow_nan=True, allow_infinity=True).map(json.dumps),
+    st.sampled_from(["true", "false", "null", '"3"', "[]", "-1", "1e300", "1" + "0" * 5000]),
+)
 
 
 class TestArgvFuzz:
-    """Every fit and pinned-interval argv ends in a documented exit code."""
+    """Every fit, interval and analyze argv ends in a documented exit code."""
 
     @staticmethod
     def exit_code(argv):
@@ -320,6 +355,15 @@ class TestArgvFuzz:
             f"{option}={value}" for option, value in pins.items()
         ]
         assert self.exit_code(argv) in range(7)
+
+    @given(json_flag=st.booleans(), command=st.sampled_from(TABLE_COMMANDS), table=table_json())
+    @example(json_flag=False, command=TABLE_COMMANDS[0], table=json.dumps(dict.fromkeys(
+        ("n_a", "n_b", "n_ab", "n_ax", "n_bx", "n_abx"), 10**160)))
+    @settings(max_examples=300, deadline=None)
+    def test_table_commands(self, json_flag, command, table):
+        argv = ["--json"] * json_flag + list(command)
+        with mock.patch("sys.stdin", io.StringIO(table)):
+            assert self.exit_code(argv) in range(7)
 
 
 def self_consistent_rows():
@@ -402,6 +446,10 @@ MALFORMED_INPUTS = {
     "count-non-utf8-file": (["count", "{binary}", "a", "b", "x"], 2),
     "count-non-utf8-directory": (["count", "{binary_dir}", "a", "b", "x"], 2),
     "count-json-line-not-object": (["count", "{jsonl}", "a", "b", "x"], 2),
+    "analyze-counts-above-2**53": (["analyze", "{huge}"], 4),
+    "interval-counts-above-2**53": (["interval", "--table", "{huge}"], 4),
+    "analyze-json-int-too-long-to-parse": (["--json", "analyze", "{long_int}"], 4),
+    "interval-json-int-too-long-to-parse": (["interval", "--table", "{long_int}"], 4),
 }
 
 
@@ -413,9 +461,15 @@ def test_malformed_input_exits_with_its_code_and_no_traceback(tmp_path, case):
     (tmp_path / "binary_dir").mkdir()
     (tmp_path / "binary_dir" / "doc.txt").write_bytes(b"caf\xe9")
     (tmp_path / "corpus.jsonl").write_text('{"id": "d1", "text": "a b"}\n[1, 2]\n', encoding="utf-8")
+    huge = {"n_a": 10**160, "n_b": 10**160, "n_ab": 1, "n_ax": 1, "n_bx": 1, "n_abx": 1}
+    (tmp_path / "huge.json").write_text(json.dumps(huge), encoding="utf-8")
+    # json.loads refuses integers longer than sys.get_int_max_str_digits()
+    long_int = json.dumps(huge).replace(str(10**160), "1" + "0" * 5000)
+    (tmp_path / "long_int.json").write_text(long_int, encoding="utf-8")
     paths = {
         "table": tmp_path / "table.json", "binary": tmp_path / "binary.txt",
         "binary_dir": tmp_path / "binary_dir", "jsonl": tmp_path / "corpus.jsonl",
+        "huge": tmp_path / "huge.json", "long_int": tmp_path / "long_int.json",
     }
     argv, expected = MALFORMED_INPUTS[case]
     argv = [arg.format(**paths) for arg in argv]
@@ -425,4 +479,5 @@ def test_malformed_input_exits_with_its_code_and_no_traceback(tmp_path, case):
     )
     assert done.returncode == expected
     assert "Traceback" not in done.stderr
-    assert done.stderr.startswith(argv[0] + ": ") and done.stderr.count("\n") == 1
+    command = argv[argv[0] == "--json"]
+    assert done.stderr.startswith(command + ": ") and done.stderr.count("\n") == 1

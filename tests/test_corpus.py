@@ -239,6 +239,19 @@ class TestCountTable:
         with pytest.raises(InvalidCounts):
             CountTable.from_dict(data)
 
+    def test_counts_must_be_exact_as_floats(self):
+        # above 2**53 a count has no exact float, and n_a * n_b may have none at all
+        exact = CountTable(n_a=2**53, n_b=2**53, n_ab=2**53, n_ax=1, n_bx=2**53, n_abx=0)
+        assert exact.n_abx_prime == 2**53
+        for field in ("n_a", "n_bx"):
+            for value in (2**53 + 1, 10**160, 10**5000):
+                counts = dict(n_a=10, n_b=10, n_ab=1, n_ax=1, n_bx=1, n_abx=1) | {field: value}
+                with pytest.raises(InvalidCounts, match=f"^{field} exceeds 2\\*\\*53"):
+                    CountTable(**counts)
+        data = {"n_a": 1e300, "n_b": 1e300, "n_ab": 1, "n_ax": 1, "n_bx": 1, "n_abx": 1}
+        with pytest.raises(InvalidCounts):
+            CountTable.from_dict(data)
+
 
 class TestProbabilities:
     def test_fruits_vegetables_apple_row(self):

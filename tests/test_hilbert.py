@@ -4,15 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from qocc.errors import (
+from qocc.hilbert import (
     AnnihilatedState,
     DegenerateSuperposition,
+    DenseProjector,
     DimensionMismatch,
     EmptyIndexSet,
     NumericsError,
-)
-from qocc.hilbert import (
-    DenseProjector,
     StateVector,
     SubsetProjector,
     apply_context,

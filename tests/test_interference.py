@@ -2,7 +2,10 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qocc.context_model import context_interval, mu_ab_cosines
 from qocc.corpus import CountTable
 from qocc.errors import DegenerateDenominator, InvalidInput, ZeroDenominator
 from qocc.fixtures import INTERFERENCE_FEASIBLE, ROWS, exemplar_table
@@ -188,6 +191,69 @@ class TestInterferenceInterval:
         table = CountTable(n_a=0, n_b=10, n_ab=0, n_ax=0, n_bx=5, n_abx=0)
         with pytest.raises(DegenerateDenominator):
             interference_interval(table)
+
+
+@st.composite
+def count_tables(draw):
+    """Tables up to the 2**53 count bound, with equal marginals and zeros often."""
+    bound = draw(st.sampled_from([6, 1000, 2**53]))
+    n_a = draw(st.integers(0, bound))
+    n_b = draw(st.just(n_a) | st.integers(0, bound))
+    n_ab = draw(st.integers(0, min(n_a, n_b)))
+    return CountTable(
+        n_a, n_b, n_ab,
+        draw(st.integers(0, n_a)), draw(st.integers(0, n_b)), draw(st.integers(0, n_ab)),
+    )
+
+
+def outcomes(fn, *argument_sets):
+    """fn's value for each argument set, None where it raises DegenerateDenominator."""
+    values = []
+    for args in argument_sets:
+        try:
+            values.append(fn(*args))
+        except DegenerateDenominator:
+            values.append(None)
+    return values
+
+
+UNIT = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 1e-12, 1.0 - 1e-12])
+WEIGHT = st.floats(0.0, 1.0, exclude_min=True) | st.sampled_from([1.0, 1e-12, 0.0293])
+
+
+class TestOneModelRatio:
+    """Both intervals are the model evaluated at its extreme phases, to the bit."""
+
+    @given(table=count_tables())
+    @example(table=CountTable(n_a=10, n_b=10, n_ab=10, n_ax=10, n_bx=10, n_abx=10))
+    @example(table=CountTable(n_a=0, n_b=10, n_ab=0, n_ax=0, n_bx=5, n_abx=0))
+    @settings(max_examples=500, deadline=None)
+    def test_interference_endpoints_are_the_sums_at_the_extreme_phases(self, table):
+        n, n_prime = table.n_abx, table.n_abx_prime
+        sums = outcomes(mu_ab_interference_sums, (table, -n, n_prime), (table, n, -n_prime))
+        try:
+            interval = interference_interval(table)
+        except DegenerateDenominator:
+            assert None in sums
+        else:
+            assert [interval.raw_lo, interval.raw_hi] == sums
+
+    @given(mu_a=UNIT, mu_b=UNIT, p_a=WEIGHT, p_b=WEIGHT, c=UNIT, c_prime=UNIT)
+    @example(mu_a=1.0, mu_b=1.0, p_a=1.0, p_b=1.0, c=1.0, c_prime=1.0)
+    @example(mu_a=0.0, mu_b=0.0, p_a=1.0, p_b=1.0, c=1.0, c_prime=1.0)
+    @example(mu_a=1e-12, mu_b=1e-12, p_a=0.0293, p_b=0.0293, c=1.0, c_prime=1.0)
+    @settings(max_examples=500, deadline=None)
+    def test_context_endpoints_are_the_model_at_the_extreme_cosines(
+        self, mu_a, mu_b, p_a, p_b, c, c_prime
+    ):
+        params = (mu_a, mu_b, p_a, p_b, c, c_prime)
+        values = outcomes(mu_ab_cosines, (*params, -1.0, 1.0), (*params, 1.0, -1.0))
+        try:
+            interval = context_interval(*params)
+        except DegenerateDenominator:
+            assert None in values
+        else:
+            assert [interval.raw_lo, interval.raw_hi] == values
 
 
 class TestFitsInterferenceOnly:

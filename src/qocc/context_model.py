@@ -165,10 +165,8 @@ def context_interval(
     _check_weights_and_moduli(p_a, p_b, c, c_prime)
     _check_measurements(mu_a, mu_b)
     a, b, g, k, k_prime = _coefficients(mu_a, mu_b, p_a, p_b, c, c_prime)
-    lo, hi = (
-        min(1.0, max(0.0, _model_ratio(a, b, g, u, v, _VANISHED)))
-        for u, v in ((-k, -(k - k_prime)), (k, k - k_prime))
-    )
+    lo = min(1.0, max(0.0, _model_ratio(a, b, g, -k, -(k - k_prime), _VANISHED)))
+    hi = min(1.0, max(0.0, _model_ratio(a, b, g, k, k - k_prime, _VANISHED)))
     return InterferenceInterval(lo=lo, hi=hi, raw_lo=lo, raw_hi=hi)
 
 

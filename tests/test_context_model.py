@@ -251,6 +251,33 @@ class TestFitParams:
         assert result.strategy is FitStrategy.CONVEX_NO_INTERFERENCE
         assert result.residual == 0.0
 
+    @pytest.mark.parametrize("mu_a, mu_b", [(0.0522, 0.213), (0.6, 0.3), (0.3, 0.3), (0.999, 0.001)])
+    @pytest.mark.parametrize("target", [0.0, -0.0, 1.0])
+    def test_unit_targets_sit_exactly_at_phase_pi(self, mu_a, mu_b, target):
+        result = fit_params(mu_a, mu_b, target)
+        params = result.params
+        assert (params.c, params.c_prime) == (1.0, 1.0)
+        if target == 1.0:
+            assert result.strategy is FitStrategy.OVEREXTENSION_BRANCH
+            assert (params.phi, params.phi_prime) == (math.pi / 2.0, math.pi)
+        else:
+            assert result.strategy is FitStrategy.UNDEREXTENSION_BRANCH
+            assert (params.phi, params.phi_prime) == (math.pi, math.pi / 2.0)
+        assert repr(fit_params(mu_a, mu_b, -0.0)) == repr(fit_params(mu_a, mu_b, 0.0))
+
+    @pytest.mark.parametrize("mu_a, mu_b", [(0.3, 0.5), (0.5, 0.3), (0.0522, 0.213)])
+    def test_target_at_an_unequal_measurement_takes_that_side_branch(self, mu_a, mu_b):
+        low, high = min(mu_a, mu_b), max(mu_a, mu_b)
+        assert fit_params(mu_a, mu_b, low).strategy is FitStrategy.UNDEREXTENSION_BRANCH
+        assert fit_params(mu_a, mu_b, high).strategy is FitStrategy.OVEREXTENSION_BRANCH
+
+    @pytest.mark.parametrize("mu", [1e-12, 0.0522, 0.3, 0.5, 1.0 - 1e-12])
+    def test_equal_measurements_and_target_need_nothing_but_equal_weights(self, mu):
+        result = fit_params(mu, mu, mu)
+        assert result.strategy is FitStrategy.CONVEX_NO_INTERFERENCE
+        assert result.params == ModelParams(1.0, 1.0, 0.0, 0.0, math.pi / 2.0, math.pi / 2.0)
+        assert (result.params.phi, result.params.phi_prime) == (math.pi / 2.0, math.pi / 2.0)
+
     def test_overextension_branch(self):
         result = fit_params(0.0901, 0.110, 0.255)
         assert result.strategy is FitStrategy.OVEREXTENSION_BRANCH

@@ -78,7 +78,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         documents = load_corpus(args.corpus_path)
     except OSError as exc:
         return _fail(EXIT_UNREADABLE, f"count: cannot read corpus: {exc}")
-    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, QoccError) as exc:
+    except (ValueError, RecursionError, KeyError, QoccError) as exc:
         return _fail(EXIT_UNREADABLE, f"count: malformed corpus file: {exc}")
     if not documents:
         return _fail(EXIT_EMPTY_CORPUS, f"count: no documents under {args.corpus_path}")
@@ -92,7 +92,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         table = _read_table(args.table)
     except OSError as exc:
         return _fail(EXIT_UNREADABLE, f"analyze: cannot read table: {exc}")
-    except (ValueError, InvalidCounts) as exc:
+    except (ValueError, RecursionError, InvalidCounts) as exc:
         return _fail(EXIT_BAD_TABLE, f"analyze: invalid count table: {exc}")
     try:
         report = build_report(table)
@@ -122,7 +122,7 @@ def cmd_interval(args: argparse.Namespace) -> int:
             table = _read_table(args.table)
         except OSError as exc:
             return _fail(EXIT_UNREADABLE, f"interval: cannot read table: {exc}")
-        except (ValueError, InvalidCounts) as exc:
+        except (ValueError, RecursionError, InvalidCounts) as exc:
             return _fail(EXIT_BAD_TABLE, f"interval: invalid count table: {exc}")
         try:
             interval = interference_interval(table)

@@ -19,13 +19,14 @@ division.  mu_ab is non-decreasing in x and non-increasing in x' throughout
 the admissible parameter box, so extremes sit at (x, x') = (-1, +1) and
 (+1, -1):
 
-  * targets between mu_a and mu_b need no interference at all, a weight
-    ratio p_a/p_b alone places the convex combination;
-  * targets below min(mu_a, mu_b) use c = c' = 1 with p_a/p_b = mu_b/mu_a,
-    which makes mu_ab(x = -1) exactly 0, and solve for x at x' = 0;
-  * targets above max(mu_a, mu_b) use c = c' = 1 with
-    p_a/p_b = (1-mu_b)/(1-mu_a), which makes mu_ab(x' = -1) exactly 1, and
-    solve for x' at x = 0.
+  * targets strictly between mu_a and mu_b, or equal to both, need no
+    interference at all: a weight ratio p_a/p_b alone places the convex
+    combination (p_a = p_b when mu_a = mu_b);
+  * any other target takes c = c' = 1 and the weight ratio of the side it
+    leaves [min(mu_a, mu_b), max(mu_a, mu_b)] by.  Above (target >= max),
+    p_a/p_b = (1-mu_b)/(1-mu_a) makes mu_ab(x' = -1) exactly 1, and x' is
+    solved at x = 0; below, p_a/p_b = mu_b/mu_a makes mu_ab(x = -1) exactly 0,
+    and x is solved at x' = 0.
 
 Pinned fits solve on the monotone path (-1, +1) -> (+1, +1) -> (+1, -1),
 where the normalization cannot vanish (``fit_params_constrained``).
@@ -211,45 +212,25 @@ def _checked_fit(
 def fit_params(mu_a: float, mu_b: float, target: float) -> FitResult:
     """Find parameters with mu_ab_full(mu_a, mu_b, params) = target.
 
-    The fit exhibits one solution, it does not claim uniqueness.  Exact
-    targets 0 and 1 use the closed-form endpoint weight ratios and phases.
+    The fit exhibits one solution, it does not claim uniqueness; its two
+    cases are the module docstring's.  Targets 0 and 1 sit exactly at phase pi.
     """
     _check_fit_inputs(mu_a, mu_b, target)
     low, high = min(mu_a, mu_b), max(mu_a, mu_b)
-
-    if target == 0.0:
-        p_a, p_b = _normalized_weights(mu_b / mu_a)
-        params = ModelParams(p_a, p_b, 1.0, 1.0, math.pi, math.pi / 2.0)
-        strategy = FitStrategy.UNDEREXTENSION_BRANCH
-    elif target == 1.0:
-        p_a, p_b = _normalized_weights((1.0 - mu_b) / (1.0 - mu_a))
-        params = ModelParams(p_a, p_b, 1.0, 1.0, math.pi / 2.0, math.pi)
-        strategy = FitStrategy.OVEREXTENSION_BRANCH
-    elif mu_a == mu_b == target:
-        params = ModelParams(1.0, 1.0, 0.0, 0.0, math.pi / 2.0, math.pi / 2.0)
-        strategy = FitStrategy.CONVEX_NO_INTERFERENCE
-    elif low < target < high:
+    if low < target < high or mu_a == mu_b == target:
         # convex combination alone: p_a / p_b = (mu_b - target) / (target - mu_a)
-        p_a, p_b = _normalized_weights((mu_b - target) / (target - mu_a))
+        p_a, p_b = (1.0, 1.0) if mu_a == mu_b else _normalized_weights((mu_b - target) / (target - mu_a))
         params = ModelParams(p_a, p_b, 0.0, 0.0, math.pi / 2.0, math.pi / 2.0)
-        strategy = FitStrategy.CONVEX_NO_INTERFERENCE
-    elif target >= high:
-        # interference must push above both: mu_ab(x'=-1) is identically 1
-        # for this weight ratio, so x' lies between that and the convex value at 0
-        p_a, p_b = _normalized_weights((1.0 - mu_b) / (1.0 - mu_a))
-        coeffs = _coefficients(mu_a, mu_b, p_a, p_b, 1.0, 1.0)
-        x_prime = _solve_cosine(coeffs, target, 0.0, for_x=False)
-        params = ModelParams(p_a, p_b, 1.0, 1.0, math.pi / 2.0, math.acos(x_prime))
-        strategy = FitStrategy.OVEREXTENSION_BRANCH
+        return _checked_fit(mu_a, mu_b, target, params, FitStrategy.CONVEX_NO_INTERFERENCE)
+    over = target >= high
+    p_a, p_b = _normalized_weights((1.0 - mu_b) / (1.0 - mu_a) if over else mu_b / mu_a)
+    if target == 0.0 or target == 1.0:
+        cosine = -1.0  # the solve would only round its way to -1
     else:
-        # interference must pull below both: mu_ab(x=-1) is exactly 0 for
-        # this weight ratio, so x lies between that and the convex value at 0
-        p_a, p_b = _normalized_weights(mu_b / mu_a)
-        coeffs = _coefficients(mu_a, mu_b, p_a, p_b, 1.0, 1.0)
-        x = _solve_cosine(coeffs, target, 0.0, for_x=True)
-        params = ModelParams(p_a, p_b, 1.0, 1.0, math.acos(x), math.pi / 2.0)
-        strategy = FitStrategy.UNDEREXTENSION_BRANCH
-    return _checked_fit(mu_a, mu_b, target, params, strategy)
+        cosine = _solve_cosine(_coefficients(mu_a, mu_b, p_a, p_b, 1.0, 1.0), target, 0.0, for_x=not over)
+    phases = (math.pi / 2.0, math.acos(cosine)) if over else (math.acos(cosine), math.pi / 2.0)
+    strategy = FitStrategy.OVEREXTENSION_BRANCH if over else FitStrategy.UNDEREXTENSION_BRANCH
+    return _checked_fit(mu_a, mu_b, target, ModelParams(p_a, p_b, 1.0, 1.0, *phases), strategy)
 
 
 def fit_params_constrained(
@@ -279,8 +260,9 @@ def fit_params_constrained(
         raise UnreachableTarget(
             f"target {target!r} is outside the pinned interval [{interval.lo!r}, {interval.hi!r}]"
         )
-    coeffs = _coefficients(mu_a, mu_b, p_a, p_b, c, c_prime)
-    if target <= mu_ab_cosines(mu_a, mu_b, p_a, p_b, c, c_prime, 1.0, 1.0):
+    coeffs = a, b, g, k, k_prime = _coefficients(mu_a, mu_b, p_a, p_b, c, c_prime)
+    # the corner (+1, +1) joins the legs; its ratio needs no clamp, being non-negative
+    if target <= _model_ratio(a, b, g, k, k + k_prime, _VANISHED):
         x, x_prime = _solve_cosine(coeffs, target, 1.0, for_x=True), 1.0
     else:
         x, x_prime = 1.0, _solve_cosine(coeffs, target, 1.0, for_x=False)

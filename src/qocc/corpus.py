@@ -21,7 +21,9 @@ from .errors import InconsistentRatios, InvalidCounts, InvalidInput, ZeroDenomin
 _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 # On ASCII text _WORD_RE matches exactly the runs of ASCII letters, so mapping
 # every other ASCII character to a space and splitting gives the same tokens.
-_ASCII_SPLIT = str.maketrans({chr(c): " " for c in range(128) if not chr(c).isalpha()})
+# Letters map to themselves: str.translate raises and clears a KeyError per call
+# for each distinct character missing from the table.
+_ASCII_SPLIT = str.maketrans({chr(c): chr(c) if chr(c).isalpha() else " " for c in range(128)})
 
 
 @dataclass(frozen=True)
@@ -121,6 +123,14 @@ def load_corpus(path: str | Path, config: TokenizerConfig = DEFAULT_TOKENIZER) -
     return docs
 
 
+def _count_text(value: int) -> str:
+    """str(value), or its size where the int has more digits than str() will print."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
+
+
 @dataclass(frozen=True)
 class ThreeTermCounts:
     """The eight disjoint cells of a three-word presence pattern.
@@ -141,7 +151,7 @@ class ThreeTermCounts:
     def __post_init__(self) -> None:
         for name, value in self.as_dict().items():
             if value < 0:
-                raise InvalidCounts(f"cell {name} is negative: {value}")
+                raise InvalidCounts(f"cell {name} is negative: {_count_text(value)}")
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -191,7 +201,7 @@ class CountTable:
             if not isinstance(value, int):
                 raise InvalidCounts(f"{name} must be an integer, got {value!r}")
             if value < 0:
-                raise InvalidCounts(f"{name} is negative: {value}")
+                raise InvalidCounts(f"{name} is negative: {_count_text(value)}")
             if value > 2**53:
                 raise InvalidCounts(f"{name} exceeds 2**53, above which counts are not exact as floats")
         if self.n_ab > min(self.n_a, self.n_b):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +17,9 @@ import qocc
 from qocc import fixtures
 from qocc.cli import canonical_json, main
 from qocc.context_model import fit_params, fit_params_constrained
-from qocc.corpus import _WORD_RE, Document, count_corpus, document_from_text, marginals, probabilities
+from qocc.corpus import (
+    _WORD_RE, Document, count_corpus, document_from_text, load_corpus, marginals, probabilities,
+)
 from qocc.fixtures import ExemplarRow, exemplar_table
 from qocc.interference import interference_interval
 
@@ -316,16 +319,84 @@ def table_json(draw):
     return "{" + ",".join(f'"{key}": {text}' for key, text in texts.items() if text is not None) + "}"
 
 
+# corpus words: ASCII and non-ASCII letters in several cases, digits and separators
+CORPUS_TEXT = st.lists(
+    st.sampled_from(["apple", "Pear", "STONE", "fig", "caf\u00e9", "42", "x_y", "-", "\t", "\n"]),
+    max_size=8,
+).map(" ".join)
+# JSON values for a document's id or text: every JSON type but the object
+DOCUMENT_VALUES = st.one_of(
+    st.text("dx0 ", min_size=1, max_size=3),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(0, 9), max_size=3),
+)
+DOCUMENT_LINES = st.fixed_dictionaries(
+    {"id": DOCUMENT_VALUES, "text": CORPUS_TEXT | DOCUMENT_VALUES}
+).map(lambda record: json.dumps(record).encode("utf-8"))
+BLANK_LINES = st.sampled_from([b"", b"   ", b"\t"])
+# a line that makes the corpus unreadable: an empty id, one key missing, a
+# JSON value that is not an object, broken JSON, or bytes that are not UTF-8
+MALFORMED_LINES = st.one_of(
+    CORPUS_TEXT.map(lambda text: {"id": "", "text": text}),
+    st.sampled_from(["id", "text"]).flatmap(lambda key: DOCUMENT_VALUES.map(lambda value: {key: value})),
+    DOCUMENT_VALUES,
+).map(lambda value: json.dumps(value).encode("utf-8")) | st.sampled_from(
+    [b'{"id": ', b"{not json", b"[", b'{"id": "d1", "text": "a"', b"\xff\xfe caf\xe9"]
+)
+# a document file: text or empty; a file that is not UTF-8 makes the corpus unreadable
+DOCUMENT_FILES = CORPUS_TEXT.map(lambda text: text.encode("utf-8"))
+MALFORMED_FILES = st.sampled_from([b"caf\xe9 apple", b"\xff\xfe"])
+
+
+@st.composite
+def corpora(draw):
+    """("jsonl", lines) or ("dir", file contents), as bytes: readable parts, sometimes one malformed."""
+    kind = draw(st.sampled_from(["jsonl", "dir"]))
+    if kind == "jsonl":
+        parts, malformed = draw(st.lists(DOCUMENT_LINES | BLANK_LINES, max_size=6)), MALFORMED_LINES
+    else:
+        parts, malformed = draw(st.lists(DOCUMENT_FILES, max_size=6)), MALFORMED_FILES
+    if draw(st.booleans()):
+        parts.insert(draw(st.integers(0, len(parts))), draw(malformed))
+    return kind, parts
+
+
+# single-word terms, and terms that are not one word
+WORD_TERMS = st.sampled_from(["apple", "pear", "stone", "fig", "caf\u00e9", "none", "true", "absent"])
+ANY_TERMS = WORD_TERMS | st.sampled_from(["two words", "42", ""])
+COUNT_TERMS = st.tuples(WORD_TERMS, WORD_TERMS, WORD_TERMS) | st.tuples(ANY_TERMS, ANY_TERMS, ANY_TERMS)
+
+
+def write_corpus(root, corpus):
+    """Write a drawn corpus under root and return its path."""
+    kind, parts = corpus
+    if kind == "jsonl":
+        path = root / "corpus.jsonl"
+        path.write_bytes(b"".join(line + b"\n" for line in parts))
+        return path
+    path = root / "docs"
+    path.mkdir()
+    for i, content in enumerate(parts):
+        (path / f"d{i}.txt").write_bytes(content)
+    return path
+
+
 class TestArgvFuzz:
-    """Every fit, interval and analyze argv ends in a documented exit code."""
+    """Every fit, interval, analyze and count argv ends in a documented exit code."""
 
     @staticmethod
-    def exit_code(argv):
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    def outcome(argv):
+        """(exit code, stdout) of one in-process call; only SystemExit is caught."""
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             try:
-                return main(argv)
+                code = main(argv)
             except SystemExit as exc:
-                return exc.code
+                code = exc.code
+        return code, out.getvalue()
 
     @given(
         json_flag=st.booleans(),
@@ -340,7 +411,7 @@ class TestArgvFuzz:
         argv = ["--json"] * json_flag + [
             "fit", f"--mu-a={mu_a}", f"--mu-b={mu_b}", f"--target={target}",
         ] + [f"{option}={value}" for option, value in pins.items()]
-        assert self.exit_code(argv) in range(7)
+        assert self.outcome(argv)[0] in range(7)
 
     @given(
         json_flag=st.booleans(),
@@ -353,7 +424,7 @@ class TestArgvFuzz:
         argv = ["--json"] * json_flag + ["interval", f"--mu-a={mu_a}", f"--mu-b={mu_b}"] + [
             f"{option}={value}" for option, value in pins.items()
         ]
-        assert self.exit_code(argv) in range(7)
+        assert self.outcome(argv)[0] in range(7)
 
     @given(json_flag=st.booleans(), command=st.sampled_from(TABLE_COMMANDS), table=table_json())
     @example(json_flag=False, command=TABLE_COMMANDS[0], table=json.dumps(dict.fromkeys(
@@ -362,7 +433,21 @@ class TestArgvFuzz:
     def test_table_commands(self, json_flag, command, table):
         argv = ["--json"] * json_flag + list(command)
         with mock.patch("sys.stdin", io.StringIO(table)):
-            assert self.exit_code(argv) in range(7)
+            assert self.outcome(argv)[0] in range(7)
+
+    @given(corpus=corpora(), terms=COUNT_TERMS)
+    @example(corpus=("jsonl", [b"[" * 100000]), terms=("apple", "pear", "fig"))
+    @example(corpus=("jsonl", [b'{"id": 1%s, "text": "apple"}' % (b"0" * 5000)]),
+             terms=("apple", "pear", "fig"))
+    @settings(max_examples=300, deadline=None)
+    def test_count(self, corpus, terms):
+        with tempfile.TemporaryDirectory() as root:
+            path = write_corpus(Path(root), corpus)
+            code, out = self.outcome(["count", str(path), *terms])
+            assert code in range(7)
+            if code == 0:
+                expected = marginals(count_corpus(load_corpus(path), *terms))
+                assert out == canonical_json(expected.as_dict()) + "\n"
 
 
 def self_consistent_rows():
@@ -449,6 +534,11 @@ MALFORMED_INPUTS = {
     "interval-counts-above-2**53": (["interval", "--table", "{huge}"], 4),
     "analyze-json-int-too-long-to-parse": (["analyze", "{long_int}"], 4),
     "interval-json-int-too-long-to-parse": (["interval", "--table", "{long_int}"], 4),
+    "analyze-json-nested-too-deep-to-parse": (["analyze", "{deep}"], 4),
+    "interval-json-nested-too-deep-to-parse": (["interval", "--table", "{deep}"], 4),
+    "count-json-line-nested-too-deep-to-parse": (["count", "{deep}", "a", "b", "x"], 2),
+    "count-json-id-too-long-to-parse": (["count", "{long_id}", "a", "b", "x"], 2),
+    "count-json-text-too-long-to-parse": (["count", "{long_text}", "a", "b", "x"], 2),
 }
 
 
@@ -465,10 +555,16 @@ def test_malformed_input_exits_with_its_code_and_no_traceback(tmp_path, case):
     # json.loads refuses integers longer than sys.get_int_max_str_digits()
     long_int = json.dumps(huge).replace(str(10**160), "1" + "0" * 5000)
     (tmp_path / "long_int.json").write_text(long_int, encoding="utf-8")
+    # json.loads recurses once per nesting level; the same line serves as a table and a corpus
+    (tmp_path / "deep.json").write_text("[" * 100000 + "\n", encoding="utf-8")
+    (tmp_path / "long_id.jsonl").write_text('{"id": 1%s, "text": "a b"}\n' % ("0" * 5000), encoding="utf-8")
+    (tmp_path / "long_text.jsonl").write_text('{"id": "d1", "text": 1%s}\n' % ("0" * 5000), encoding="utf-8")
     paths = {
         "table": tmp_path / "table.json", "binary": tmp_path / "binary.txt",
         "binary_dir": tmp_path / "binary_dir", "jsonl": tmp_path / "corpus.jsonl",
         "huge": tmp_path / "huge.json", "long_int": tmp_path / "long_int.json",
+        "deep": tmp_path / "deep.json", "long_id": tmp_path / "long_id.jsonl",
+        "long_text": tmp_path / "long_text.jsonl",
     }
     argv, expected = MALFORMED_INPUTS[case]
     argv = [arg.format(**paths) for arg in argv]

@@ -154,6 +154,16 @@ class TestCountCorpus:
         assert count_corpus(documents, *terms) == brute_force_cells(documents, *terms)
 
 
+class TestThreeTermCounts:
+    def test_rejects_a_negative_cell(self):
+        with pytest.raises(InvalidCounts, match=r"^cell n101 is negative: -3$"):
+            ThreeTermCounts(n101=-3)
+
+    def test_rejects_a_negative_cell_too_long_to_print(self):
+        with pytest.raises(InvalidCounts, match=r"^cell n111 is negative: an integer of \d+ bits$"):
+            ThreeTermCounts(n111=-10**5000)
+
+
 class TestMarginals:
     def test_symmetric_cube(self):
         counts = ThreeTermCounts(1, 1, 1, 1, 1, 1, 1, 1)
@@ -203,8 +213,13 @@ class TestCountTable:
             CountTable(n_a=10, n_b=10, n_ab=2, n_ax=5, n_bx=5, n_abx=3)
 
     def test_rejects_negative(self):
-        with pytest.raises(InvalidCounts):
+        with pytest.raises(InvalidCounts, match=r"^n_a is negative: -1$"):
             CountTable(n_a=-1, n_b=1, n_ab=0, n_ax=0, n_bx=0, n_abx=0)
+
+    def test_rejects_a_negative_count_too_long_to_print(self):
+        # str() refuses ints longer than sys.get_int_max_str_digits() digits
+        with pytest.raises(InvalidCounts, match=r"^n_a is negative: an integer of \d+ bits$"):
+            CountTable(n_a=-10**5000, n_b=1, n_ab=0, n_ax=0, n_bx=0, n_abx=0)
 
     def test_rejects_nab_above_totals(self):
         with pytest.raises(InvalidCounts):

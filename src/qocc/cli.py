@@ -8,11 +8,13 @@ Subcommands:
   fit      solve the model for given mu_a, mu_b and a target probability
   table1   print the bundled reference dataset and self-check it
 
-Exit codes: 0 success; 1 unreachable fit target or internal failure;
-2 unreadable input or bad invocation; 3 empty corpus; 4 unusable count
-table; 5 reference-table deviation; 6 fit or pinned-interval input outside
+Exit codes: 0 success (``--help`` too); 1 unreachable fit target or a failed
+solve; 2 unreadable input, a malformed corpus or a bad invocation; 3 empty
+corpus; 4 unusable count table, or a pinned interval whose normalization
+vanishes; 5 reference-table deviation; 6 fit or pinned-interval input outside
 its domain.
-Diagnostics go to stderr only.
+Diagnostics go to stderr only: one line per failure, or ``table1``'s list of
+deviating cells.
 """
 from __future__ import annotations
 
@@ -52,55 +54,66 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         print(text)
 
 
-def _fail(code: int, message: str) -> int:
-    print(message, file=sys.stderr)
-    return code
+class _Exit(Exception):
+    """Ends a command with an exit code; ``main`` prints the message on stderr."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
 
 
-def _single_token(term: str) -> str | None:
-    tokens = tokenize(term)
-    return tokens[0] if len(tokens) == 1 else None
+# the pinned model parameters of ``interval`` and ``fit``, and the names
+# ``fit --help`` gives them
+_PINS = (("p_a", "p_a"), ("p_b", "p_b"), ("c", "c"), ("c_prime", "c'"))
 
 
-def _read_table(path_arg: str) -> CountTable:
-    raw = sys.stdin.read() if path_arg == "-" else Path(path_arg).read_text(encoding="utf-8")
-    return CountTable.from_dict(json.loads(raw))
+def _add_pin_flags(parser: argparse.ArgumentParser, helped: bool) -> None:
+    for dest, shown in _PINS:
+        help_text = f"pin {shown} (constrained solve)" if helped else None
+        parser.add_argument("--" + dest.replace("_", "-"), dest=dest, type=float, help=help_text)
 
 
-def cmd_count(args: argparse.Namespace) -> int:
+def _pins(args: argparse.Namespace) -> list[float]:
+    """The pinned parameters in ``_PINS`` order, 1.0 where a flag is not given."""
+    return [1.0 if getattr(args, dest) is None else getattr(args, dest) for dest, _ in _PINS]
+
+
+def _read_table(command: str, path_arg: str) -> CountTable:
+    try:
+        raw = sys.stdin.read() if path_arg == "-" else Path(path_arg).read_text(encoding="utf-8")
+        return CountTable.from_dict(json.loads(raw))
+    except OSError as exc:
+        raise _Exit(EXIT_UNREADABLE, f"{command}: cannot read table: {exc}")
+    except (ValueError, RecursionError, InvalidCounts) as exc:
+        raise _Exit(EXIT_BAD_TABLE, f"{command}: invalid count table: {exc}")
+
+
+def cmd_count(args: argparse.Namespace) -> None:
     terms = []
     for term in (args.term_a, args.term_b, args.term_x):
-        token = _single_token(term)
-        if token is None:
-            return _fail(EXIT_UNREADABLE, f"count: term {term!r} is not a single word")
-        terms.append(token)
+        tokens = tokenize(term)
+        if len(tokens) != 1:
+            raise _Exit(EXIT_UNREADABLE, f"count: term {term!r} is not a single word")
+        terms += tokens
     try:
         documents = load_corpus(args.corpus_path)
     except OSError as exc:
-        return _fail(EXIT_UNREADABLE, f"count: cannot read corpus: {exc}")
+        raise _Exit(EXIT_UNREADABLE, f"count: cannot read corpus: {exc}")
     except (ValueError, RecursionError, KeyError, QoccError) as exc:
-        return _fail(EXIT_UNREADABLE, f"count: malformed corpus file: {exc}")
+        raise _Exit(EXIT_UNREADABLE, f"count: malformed corpus file: {exc}")
     if not documents:
-        return _fail(EXIT_EMPTY_CORPUS, f"count: no documents under {args.corpus_path}")
-    table = marginals(count_corpus(documents, *terms))
-    _emit(args, canonical_json(table.as_dict()))
-    return EXIT_OK
+        raise _Exit(EXIT_EMPTY_CORPUS, f"count: no documents under {args.corpus_path}")
+    _emit(args, canonical_json(marginals(count_corpus(documents, *terms)).as_dict()))
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> None:
     try:
-        table = _read_table(args.table)
-    except OSError as exc:
-        return _fail(EXIT_UNREADABLE, f"analyze: cannot read table: {exc}")
-    except (ValueError, RecursionError, InvalidCounts) as exc:
-        return _fail(EXIT_BAD_TABLE, f"analyze: invalid count table: {exc}")
-    try:
-        report = build_report(table)
+        report = build_report(_read_table("analyze", args.table))
     except QoccError as exc:
-        return _fail(EXIT_BAD_TABLE, f"analyze: table not analyzable: {exc}")
+        raise _Exit(EXIT_BAD_TABLE, f"analyze: table not analyzable: {exc}")
     if args.json:
         _emit(args, canonical_json(report.as_dict()))
-        return EXIT_OK
+        return
     lines = [
         f"mu_a                {sci3(report.triple.mu_a)}",
         f"mu_b                {sci3(report.triple.mu_b)}",
@@ -113,62 +126,39 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         f"fit_residual        {sci3(report.fit.residual)}",
     ]
     _emit(args, "\n".join(lines))
-    return EXIT_OK
 
 
-def cmd_interval(args: argparse.Namespace) -> int:
+def cmd_interval(args: argparse.Namespace) -> None:
     if args.table is not None:
         try:
-            table = _read_table(args.table)
-        except OSError as exc:
-            return _fail(EXIT_UNREADABLE, f"interval: cannot read table: {exc}")
-        except (ValueError, RecursionError, InvalidCounts) as exc:
-            return _fail(EXIT_BAD_TABLE, f"interval: invalid count table: {exc}")
-        try:
-            interval = interference_interval(table)
+            interval = interference_interval(_read_table("interval", args.table))
         except QoccError as exc:
-            return _fail(EXIT_BAD_TABLE, f"interval: {exc}")
+            raise _Exit(EXIT_BAD_TABLE, f"interval: {exc}")
+    elif args.mu_a is None or args.mu_b is None:
+        raise _Exit(EXIT_UNREADABLE, "interval: --table or --mu-a/--mu-b required")
     else:
-        if args.mu_a is None or args.mu_b is None:
-            return _fail(EXIT_UNREADABLE, "interval: --table or --mu-a/--mu-b required")
         try:
-            interval = context_interval(
-                args.mu_a, args.mu_b, args.p_a, args.p_b, args.c, args.c_prime
-            )
+            interval = context_interval(args.mu_a, args.mu_b, *_pins(args))
         except InvalidInput as exc:
-            return _fail(EXIT_FIT_DOMAIN, f"interval: {exc}")
+            raise _Exit(EXIT_FIT_DOMAIN, f"interval: {exc}")
         except QoccError as exc:
-            return _fail(EXIT_BAD_TABLE, f"interval: {exc}")
+            raise _Exit(EXIT_BAD_TABLE, f"interval: {exc}")
     if args.json:
-        payload = {
-            "lo": interval.lo, "hi": interval.hi,
-            "raw_lo": interval.raw_lo, "raw_hi": interval.raw_hi,
-        }
-        _emit(args, canonical_json(payload))
+        _emit(args, canonical_json(interval.as_dict()))
     else:
         _emit(args, f"[{sci3(interval.lo)}, {sci3(interval.hi)}]")
-    return EXIT_OK
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
-    overrides = [args.p_a, args.p_b, args.c, args.c_prime]
+def cmd_fit(args: argparse.Namespace) -> None:
     try:
-        if any(value is not None for value in overrides):
-            result = fit_params_constrained(
-                args.mu_a,
-                args.mu_b,
-                args.target,
-                args.p_a if args.p_a is not None else 1.0,
-                args.p_b if args.p_b is not None else 1.0,
-                args.c if args.c is not None else 1.0,
-                args.c_prime if args.c_prime is not None else 1.0,
-            )
+        if any(getattr(args, dest) is not None for dest, _ in _PINS):
+            result = fit_params_constrained(args.mu_a, args.mu_b, args.target, *_pins(args))
         else:
             result = fit_params(args.mu_a, args.mu_b, args.target)
     except InvalidInput as exc:
-        return _fail(EXIT_FIT_DOMAIN, f"fit: {exc}")
+        raise _Exit(EXIT_FIT_DOMAIN, f"fit: {exc}")
     except QoccError as exc:
-        return _fail(EXIT_FAILURE, f"fit: {exc}")
+        raise _Exit(EXIT_FAILURE, f"fit: {exc}")
     if args.json:
         _emit(args, canonical_json(result.as_dict()))
     else:
@@ -177,67 +167,36 @@ def cmd_fit(args: argparse.Namespace) -> int:
             f"strategy={result.strategy.value} residual={sci3(result.residual)} "
             + " ".join(f"{k}={v:.12g}" for k, v in result.params.as_dict().items()),
         )
-    return EXIT_OK
 
 
-def _table1_rows() -> list[tuple[str, dict[str, float]]]:
-    rows = []
+def cmd_table1(args: argparse.Namespace) -> None:
+    header = ("exemplar", "mu_a", "mu_b", "mu_ab", "mu_min", "mu_max")
+    payload, lines, deviations = [], [header], []
     for row in fixtures.ROWS:
         table = fixtures.exemplar_table(row.name)
         triple = probabilities(table)
         interval = interference_interval(table)
-        rows.append((
-            row.name,
-            {
-                "mu_a": triple.mu_a,
-                "mu_b": triple.mu_b,
-                "mu_ab": triple.mu_ab_observed,
-                "mu_min": interval.lo,
-                "mu_max": interval.hi,
-            },
-        ))
-    return rows
-
-
-def cmd_table1(args: argparse.Namespace) -> int:
-    computed = _table1_rows()
-    header = ("exemplar", "mu_a", "mu_b", "mu_ab", "mu_min", "mu_max")
-    if args.csv or args.json:
-        if args.json:
-            payload = [{"exemplar": name, **cells} for name, cells in computed]
-            _emit(args, canonical_json(payload))
-        else:
-            lines = [",".join(header)]
-            for name, cells in computed:
-                lines.append(name + "," + ",".join(sci3(cells[key]) for key in header[1:]))
-            _emit(args, "\n".join(lines))
+        values = (triple.mu_a, triple.mu_b, triple.mu_ab_observed, interval.lo, interval.hi)
+        payload.append({"exemplar": row.name, **dict(zip(header[1:], values))})
+        cells = [sci3(value) for value in values]
+        lines.append((row.name, *cells))
+        # self-check against the values recorded with the dataset, at the three
+        # significant figures they were recorded with
+        recorded = (row.mu_a, row.mu_b, row.mu_ab, row.reported_lo, row.reported_hi)
+        for key, cell, reference in zip(header[1:], cells, map(sci3, recorded)):
+            if cell != reference:
+                deviations.append(f"{row.name}/{key}: computed {cell}, recorded {reference}")
+    if args.json:
+        _emit(args, canonical_json(payload))
+    elif args.csv:
+        _emit(args, "\n".join(",".join(line) for line in lines))
     else:
         widths = (12, 10, 10, 10, 10, 10)
-        lines = ["".join(f"{h:<{w}}" for h, w in zip(header, widths))]
-        for name, cells in computed:
-            cols = [f"{name:<12}"] + [f"{sci3(cells[key]):<10}" for key in header[1:]]
-            lines.append("".join(cols))
-        _emit(args, "\n".join(lines))
-
-    # self-check against the values recorded with the dataset, at the three
-    # significant figures they were recorded with
-    deviations = []
-    for (name, cells), row in zip(computed, fixtures.ROWS):
-        reference = {
-            "mu_a": row.mu_a, "mu_b": row.mu_b, "mu_ab": row.mu_ab,
-            "mu_min": row.reported_lo, "mu_max": row.reported_hi,
-        }
-        for key in header[1:]:
-            if sci3(cells[key]) != sci3(reference[key]):
-                deviations.append(
-                    f"{name}/{key}: computed {sci3(cells[key])}, recorded {sci3(reference[key])}"
-                )
+        aligned = ("".join(f"{col:<{w}}" for col, w in zip(line, widths)) for line in lines)
+        _emit(args, "\n".join(aligned))
     if deviations:
-        print("table1: deviations from recorded reference values:", file=sys.stderr)
-        for line in deviations:
-            print("  " + line, file=sys.stderr)
-        return EXIT_TABLE1_DEVIATION
-    return EXIT_OK
+        message = ["table1: deviations from recorded reference values:"] + deviations
+        raise _Exit(EXIT_TABLE1_DEVIATION, "\n  ".join(message))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,20 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_interval.add_argument("--table", help="count-table JSON path (interference interval)")
     p_interval.add_argument("--mu-a", dest="mu_a", type=float)
     p_interval.add_argument("--mu-b", dest="mu_b", type=float)
-    p_interval.add_argument("--p-a", dest="p_a", type=float, default=1.0)
-    p_interval.add_argument("--p-b", dest="p_b", type=float, default=1.0)
-    p_interval.add_argument("--c", dest="c", type=float, default=1.0)
-    p_interval.add_argument("--c-prime", dest="c_prime", type=float, default=1.0)
+    _add_pin_flags(p_interval, helped=False)
     p_interval.set_defaults(func=cmd_interval)
 
     p_fit = sub.add_parser("fit", help="solve the model for a target probability")
     p_fit.add_argument("--mu-a", dest="mu_a", type=float, required=True)
     p_fit.add_argument("--mu-b", dest="mu_b", type=float, required=True)
     p_fit.add_argument("--target", type=float, required=True)
-    p_fit.add_argument("--p-a", dest="p_a", type=float, help="pin p_a (constrained solve)")
-    p_fit.add_argument("--p-b", dest="p_b", type=float, help="pin p_b (constrained solve)")
-    p_fit.add_argument("--c", dest="c", type=float, help="pin c (constrained solve)")
-    p_fit.add_argument("--c-prime", dest="c_prime", type=float, help="pin c' (constrained solve)")
+    _add_pin_flags(p_fit, helped=True)
     p_fit.set_defaults(func=cmd_fit)
 
     p_table1 = sub.add_parser("table1", help="print and self-check the bundled dataset")
@@ -289,7 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+    except _Exit as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

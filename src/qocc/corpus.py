@@ -131,6 +131,14 @@ def _count_text(value: int) -> str:
         return f"an integer of {value.bit_length()} bits"
 
 
+def _check_count(name: str, value: int) -> None:
+    """Raise InvalidCounts unless value is a non-negative integer."""
+    if not isinstance(value, int):
+        raise InvalidCounts(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise InvalidCounts(f"{name} is negative: {_count_text(value)}")
+
+
 @dataclass(frozen=True)
 class ThreeTermCounts:
     """The eight disjoint cells of a three-word presence pattern.
@@ -150,8 +158,7 @@ class ThreeTermCounts:
 
     def __post_init__(self) -> None:
         for name, value in self.as_dict().items():
-            if value < 0:
-                raise InvalidCounts(f"cell {name} is negative: {_count_text(value)}")
+            _check_count(f"cell {name}", value)
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -198,10 +205,7 @@ class CountTable:
 
     def __post_init__(self) -> None:
         for name, value in self.as_dict().items():
-            if not isinstance(value, int):
-                raise InvalidCounts(f"{name} must be an integer, got {value!r}")
-            if value < 0:
-                raise InvalidCounts(f"{name} is negative: {_count_text(value)}")
+            _check_count(name, value)
             if value > 2**53:
                 raise InvalidCounts(f"{name} exceeds 2**53, above which counts are not exact as floats")
         if self.n_ab > min(self.n_a, self.n_b):

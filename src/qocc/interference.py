@@ -10,11 +10,14 @@ over the pages carrying the first two but not the third:
 with a = n_ax/n_a + n_bx/n_b and r = sqrt(n_a * n_b).  This is the context
 model of ``context_model`` at p_a = p_b in count coordinates (b = g = 2,
 u = k_x / r for k x, v = (k_x + k_xp) / r for k x + k' x'), and both modules
-evaluate it through the one ratio ``_model_ratio``.  Sweeping the phases sweeps
-k_x over [-n_abx, n_abx] and k_xp over [-n_abx', n_abx'], so the interval is the
-model's at count-derived k = n_abx / r and d = k - k' = (n_abx - n_abx') / r:
-the maximum, (u, v) = (k, d), sets every cosine over the x-pages to +1 and every
-cosine over the x'-pages to -1; the minimum, (-k, -d), does the opposite.
+evaluate it through the one ratio ``_model_ratio``.  This module halves
+numerator and normalization (a / 2, b = g = 1), an exact scaling, so both
+compare their normalization with the one ``DENOMINATOR_TOL``.  Sweeping the
+phases sweeps k_x over [-n_abx, n_abx] and k_xp over [-n_abx', n_abx'], so the
+interval is the model's at count-derived k = n_abx / r and
+d = k - k' = (n_abx - n_abx') / r: the maximum, (u, v) = (k, d), sets every
+cosine over the x-pages to +1 and every cosine over the x'-pages to -1; the
+minimum, (-k, -d), does the opposite.
 """
 from __future__ import annotations
 
@@ -51,6 +54,9 @@ class InterferenceInterval:
     def contains(self, value: float, slack: float = FEASIBILITY_SLACK) -> bool:
         return self.lo - slack <= value <= self.hi + slack
 
+    def as_dict(self) -> dict[str, float]:
+        return {"lo": self.lo, "hi": self.hi, "raw_lo": self.raw_lo, "raw_hi": self.raw_hi}
+
 
 @dataclass(frozen=True)
 class PhaseAssignment:
@@ -73,15 +79,14 @@ class ExtensionClass(enum.Enum):
     BOUNDARY = "boundary"
 
 
-def _model_ratio(
-    a: float, b: float, g: float, u: float, v: float, message: str, tol: float = DENOMINATOR_TOL
-) -> float:
+def _model_ratio(a: float, b: float, g: float, u: float, v: float, message: str) -> float:
     """(a + g*u) / (b + g*v), the model's combined probability.
 
-    A normalization b + g*v at or below tol raises DegenerateDenominator(message).
+    A normalization b + g*v at or below DENOMINATOR_TOL raises
+    DegenerateDenominator(message).
     """
     denominator = b + g * v
-    if denominator <= tol:
+    if denominator <= DENOMINATOR_TOL:
         raise DegenerateDenominator(message)
     return (a + g * u) / denominator
 
@@ -89,14 +94,15 @@ def _model_ratio(
 def _count_ratios(table: CountTable, message: str, *sums: tuple[float, float]) -> list[float]:
     """The model ratio in count coordinates at each (k_x, k_x + k_x') of sums.
 
-    b = g = 2 doubles the normalization 1 + (k_x + k_x') / r, and the singular
-    threshold doubles with it.
+    Numerator and normalization are halved (a / 2, b = g = 1).  Halving is
+    exact in floating point, so every ratio keeps its bits, and the
+    normalization 1 + (k_x + k_x') / r meets DENOMINATOR_TOL itself.
     """
     if table.n_a == 0 or table.n_b == 0:
         raise DegenerateDenominator("n_a and n_b must be positive")
-    a = table.n_ax / table.n_a + table.n_bx / table.n_b
+    half_a = (table.n_ax / table.n_a + table.n_bx / table.n_b) / 2.0
     r = math.sqrt(table.n_a * table.n_b)
-    return [_model_ratio(a, 2.0, 2.0, u / r, v / r, message, 2.0 * DENOMINATOR_TOL) for u, v in sums]
+    return [_model_ratio(half_a, 1.0, 1.0, u / r, v / r, message) for u, v in sums]
 
 
 def mu_ab_interference_sums(table: CountTable, k_x: float, k_x_prime: float) -> float:

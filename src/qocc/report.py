@@ -35,12 +35,7 @@ class AnalysisReport:
                 "mu_ab_observed": self.triple.mu_ab_observed,
             },
             "extension": self.extension.value,
-            "interference": {
-                "lo": self.interference.lo,
-                "hi": self.interference.hi,
-                "raw_lo": self.interference.raw_lo,
-                "raw_hi": self.interference.raw_hi,
-            },
+            "interference": self.interference.as_dict(),
             "interference_only_feasible": self.interference_only_feasible,
             "context_only_feasible": self.context_only_feasible,
             "fit": self.fit.as_dict(),

@@ -1,5 +1,6 @@
 """Tokenizing, three-term counting, marginals, ratios, and serialization."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,12 @@ class TestThreeTermCounts:
     def test_rejects_a_negative_cell_too_long_to_print(self):
         with pytest.raises(InvalidCounts, match=r"^cell n111 is negative: an integer of \d+ bits$"):
             ThreeTermCounts(n111=-10**5000)
+
+    @pytest.mark.parametrize("value", [1.5, "3", None])
+    def test_rejects_a_cell_that_is_not_an_integer(self, value):
+        message = f"cell n111 must be an integer, got {value!r}"
+        with pytest.raises(InvalidCounts, match=f"^{re.escape(message)}$"):
+            ThreeTermCounts(n111=value)
 
 
 class TestMarginals:

@@ -10,6 +10,7 @@ and review the diff.
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -152,8 +153,13 @@ def golden_argvs() -> list[list[str]]:
 def replay(argv: list[str]) -> dict:
     EMPTY_CORPUS.mkdir(exist_ok=True)
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.chdir(GOLDEN), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)  # contextlib.chdir needs Python 3.11
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
     return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 

@@ -11,7 +11,9 @@ overlap moduli c, c', and their phases phi, phi':
 
 Writing x = cos(phi) and x' = cos(phi'), this is the ratio
 (a + g u) / (b + g v) of ``interference._model_ratio`` with u = k x and
-v = k x + k' x' (a, b, g, k, k' from ``_coefficients``); the interference
+v = k x + k' x' (a, b, g, k, k' from ``_coefficients``).  ``_mu`` is the one
+evaluator of it, clamped to [0, 1], for the evaluators, the interval
+endpoints, the pinned fit's corner and every fit's residual; the interference
 interval is the same model at p_a = p_b with count-derived k and d = k - k'.
 Numerator and denominator are both linear in x and in x', so with one cosine
 held fixed mu_ab = target is a linear equation in the other, solved by one
@@ -41,7 +43,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateDenominator, InvalidInput, UnreachableTarget
-from .interference import DENOMINATOR_TOL, InterferenceInterval, _model_ratio
+from .interference import DENOMINATOR_TOL, InterferenceInterval, _check_probability, _model_ratio
 
 RESIDUAL_BOUND = 1e-9
 TWO_PI = 2.0 * math.pi
@@ -80,10 +82,7 @@ class ModelParams:
         object.__setattr__(self, "phi_prime", self.phi_prime % TWO_PI)
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "p_a": self.p_a, "p_b": self.p_b, "c": self.c, "c_prime": self.c_prime,
-            "phi": self.phi, "phi_prime": self.phi_prime,
-        }
+        return self.__dict__.copy()
 
 
 @dataclass(frozen=True)
@@ -97,9 +96,8 @@ class FitResult:
 
 
 def _check_measurements(mu_a: float, mu_b: float) -> None:
-    for name, value in (("mu_a", mu_a), ("mu_b", mu_b)):
-        if not 0.0 <= value <= 1.0:
-            raise InvalidInput(f"{name}={value!r} is outside [0, 1]")
+    _check_probability("mu_a", mu_a)
+    _check_probability("mu_b", mu_b)
 
 
 def _coefficients(
@@ -115,6 +113,12 @@ def _coefficients(
     )
 
 
+def _mu(coeffs: tuple[float, ...], x: float, x_prime: float) -> float:
+    """The model at cosines (x, x') from ``_coefficients``, clamped to [0, 1]."""
+    a, b, g, k, k_prime = coeffs
+    return min(1.0, max(0.0, _model_ratio(a, b, g, k * x, k * x + k_prime * x_prime, _VANISHED)))
+
+
 def mu_ab_cosines(
     mu_a: float,
     mu_b: float,
@@ -125,10 +129,13 @@ def mu_ab_cosines(
     x: float,
     x_prime: float,
 ) -> float:
-    """Model probability with the phases given directly as cosines."""
+    """Model probability at the cosines x, x' in [-1, 1]; other arguments as in ``context_interval``."""
+    _check_weights_and_moduli(p_a, p_b, c, c_prime)
     _check_measurements(mu_a, mu_b)
-    a, b, g, k, k_prime = _coefficients(mu_a, mu_b, p_a, p_b, c, c_prime)
-    return min(1.0, max(0.0, _model_ratio(a, b, g, k * x, k * x + k_prime * x_prime, _VANISHED)))
+    for name, value in (("x", x), ("x_prime", x_prime)):
+        if not -1.0 <= value <= 1.0:
+            raise InvalidInput(f"{name}={value!r} is outside [-1, 1]")
+    return _mu(_coefficients(mu_a, mu_b, p_a, p_b, c, c_prime), x, x_prime)
 
 
 def mu_ab_full(mu_a: float, mu_b: float, params: ModelParams) -> float:
@@ -141,7 +148,8 @@ def mu_ab_full(mu_a: float, mu_b: float, params: ModelParams) -> float:
 
 
 def mu_ab_convex(mu_a: float, mu_b: float, p_a: float, p_b: float) -> float:
-    """(p_a mu_a + p_b mu_b) / (p_a + p_b), the no-interference limit."""
+    """(p_a mu_a + p_b mu_b) / (p_a + p_b), the no-interference limit; weights in (0, 1]."""
+    _check_weights_and_moduli(p_a, p_b, 0.0, 0.0)
     _check_measurements(mu_a, mu_b)
     if p_a + p_b <= DENOMINATOR_TOL:
         raise DegenerateDenominator("p_a + p_b vanishes")
@@ -158,16 +166,18 @@ def context_interval(
 ) -> InterferenceInterval:
     """Probability range over all phases at fixed weights and moduli.
 
-    The endpoints sit at (x, x') = (-1, +1) and (+1, -1), that is at
-    (u, v) = (-k, -d) and (k, d) with d = k - k', clamped to [0, 1].  Weights
-    and moduli must lie in the domains ``ModelParams`` enforces; anything else
-    raises InvalidInput.
+    ``_interval`` takes the endpoints at (x, x') = (-1, +1) and (+1, -1), that
+    is at (u, v) = (-k, -d) and (k, d) with d = k - k', clamped to [0, 1].
+    Weights and moduli must lie in the domains ``ModelParams`` enforces;
+    anything else raises InvalidInput.
     """
     _check_weights_and_moduli(p_a, p_b, c, c_prime)
     _check_measurements(mu_a, mu_b)
-    a, b, g, k, k_prime = _coefficients(mu_a, mu_b, p_a, p_b, c, c_prime)
-    lo = min(1.0, max(0.0, _model_ratio(a, b, g, -k, -(k - k_prime), _VANISHED)))
-    hi = min(1.0, max(0.0, _model_ratio(a, b, g, k, k - k_prime, _VANISHED)))
+    return _interval(_coefficients(mu_a, mu_b, p_a, p_b, c, c_prime))
+
+
+def _interval(coeffs: tuple[float, ...]) -> InterferenceInterval:
+    lo, hi = _mu(coeffs, -1.0, 1.0), _mu(coeffs, 1.0, -1.0)
     return InterferenceInterval(lo=lo, hi=hi, raw_lo=lo, raw_hi=hi)
 
 
@@ -196,14 +206,14 @@ def _check_fit_inputs(mu_a: float, mu_b: float, target: float) -> None:
     for name, value in (("mu_a", mu_a), ("mu_b", mu_b)):
         if not 0.0 < value < 1.0:
             raise InvalidInput(f"{name}={value!r} must be strictly inside (0, 1)")
-    if not 0.0 <= target <= 1.0:
-        raise InvalidInput(f"target={target!r} is outside [0, 1]")
+    _check_probability("target", target)
 
 
 def _checked_fit(
-    mu_a: float, mu_b: float, target: float, params: ModelParams, strategy: FitStrategy
+    coeffs: tuple[float, ...], target: float, params: ModelParams, strategy: FitStrategy
 ) -> FitResult:
-    residual = abs(mu_ab_full(mu_a, mu_b, params) - target)
+    """The fit of params, whose weights and moduli made coeffs, if it meets RESIDUAL_BOUND."""
+    residual = abs(_mu(coeffs, math.cos(params.phi), math.cos(params.phi_prime)) - target)
     if residual > RESIDUAL_BOUND:
         raise UnreachableTarget(f"fit residual {residual!r} exceeds {RESIDUAL_BOUND}")
     return FitResult(params=params, residual=residual, strategy=strategy)
@@ -221,16 +231,18 @@ def fit_params(mu_a: float, mu_b: float, target: float) -> FitResult:
         # convex combination alone: p_a / p_b = (mu_b - target) / (target - mu_a)
         p_a, p_b = (1.0, 1.0) if mu_a == mu_b else _normalized_weights((mu_b - target) / (target - mu_a))
         params = ModelParams(p_a, p_b, 0.0, 0.0, math.pi / 2.0, math.pi / 2.0)
-        return _checked_fit(mu_a, mu_b, target, params, FitStrategy.CONVEX_NO_INTERFERENCE)
+        coeffs = _coefficients(mu_a, mu_b, p_a, p_b, 0.0, 0.0)
+        return _checked_fit(coeffs, target, params, FitStrategy.CONVEX_NO_INTERFERENCE)
     over = target >= high
     p_a, p_b = _normalized_weights((1.0 - mu_b) / (1.0 - mu_a) if over else mu_b / mu_a)
+    coeffs = _coefficients(mu_a, mu_b, p_a, p_b, 1.0, 1.0)
     if target == 0.0 or target == 1.0:
         cosine = -1.0  # the solve would only round its way to -1
     else:
-        cosine = _solve_cosine(_coefficients(mu_a, mu_b, p_a, p_b, 1.0, 1.0), target, 0.0, for_x=not over)
+        cosine = _solve_cosine(coeffs, target, 0.0, for_x=not over)
     phases = (math.pi / 2.0, math.acos(cosine)) if over else (math.acos(cosine), math.pi / 2.0)
     strategy = FitStrategy.OVEREXTENSION_BRANCH if over else FitStrategy.UNDEREXTENSION_BRANCH
-    return _checked_fit(mu_a, mu_b, target, ModelParams(p_a, p_b, 1.0, 1.0, *phases), strategy)
+    return _checked_fit(coeffs, target, ModelParams(p_a, p_b, 1.0, 1.0, *phases), strategy)
 
 
 def fit_params_constrained(
@@ -255,14 +267,15 @@ def fit_params_constrained(
     sits relative to [min(mu_a, mu_b), max(mu_a, mu_b)].
     """
     _check_fit_inputs(mu_a, mu_b, target)
-    interval = context_interval(mu_a, mu_b, p_a, p_b, c, c_prime)
+    _check_weights_and_moduli(p_a, p_b, c, c_prime)
+    coeffs = _coefficients(mu_a, mu_b, p_a, p_b, c, c_prime)
+    interval = _interval(coeffs)
     if not interval.contains(target, RESIDUAL_BOUND):
         raise UnreachableTarget(
             f"target {target!r} is outside the pinned interval [{interval.lo!r}, {interval.hi!r}]"
         )
-    coeffs = a, b, g, k, k_prime = _coefficients(mu_a, mu_b, p_a, p_b, c, c_prime)
-    # the corner (+1, +1) joins the legs; its ratio needs no clamp, being non-negative
-    if target <= _model_ratio(a, b, g, k, k + k_prime, _VANISHED):
+    # the corner (+1, +1) joins the legs
+    if target <= _mu(coeffs, 1.0, 1.0):
         x, x_prime = _solve_cosine(coeffs, target, 1.0, for_x=True), 1.0
     else:
         x, x_prime = 1.0, _solve_cosine(coeffs, target, 1.0, for_x=False)
@@ -273,4 +286,4 @@ def fit_params_constrained(
         strategy = FitStrategy.UNDEREXTENSION_BRANCH
     else:
         strategy = FitStrategy.CONVEX_NO_INTERFERENCE
-    return _checked_fit(mu_a, mu_b, target, params, strategy)
+    return _checked_fit(coeffs, target, params, strategy)

@@ -132,11 +132,13 @@ def _count_text(value: int) -> str:
 
 
 def _check_count(name: str, value: int) -> None:
-    """Raise InvalidCounts unless value is a non-negative integer."""
-    if not isinstance(value, int):
+    """Raise InvalidCounts unless value is an int, not a bool, in [0, 2**53]."""
+    if type(value) is bool or not isinstance(value, int):
         raise InvalidCounts(f"{name} must be an integer, got {value!r}")
     if value < 0:
         raise InvalidCounts(f"{name} is negative: {_count_text(value)}")
+    if value > 2**53:
+        raise InvalidCounts(f"{name} exceeds 2**53, above which counts are not exact as floats")
 
 
 @dataclass(frozen=True)
@@ -157,14 +159,11 @@ class ThreeTermCounts:
     n000: int = 0
 
     def __post_init__(self) -> None:
-        for name, value in self.as_dict().items():
+        for name, value in self.__dict__.items():
             _check_count(f"cell {name}", value)
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "n111": self.n111, "n110": self.n110, "n101": self.n101, "n100": self.n100,
-            "n011": self.n011, "n010": self.n010, "n001": self.n001, "n000": self.n000,
-        }
+        return self.__dict__.copy()
 
     @property
     def total(self) -> int:
@@ -204,10 +203,8 @@ class CountTable:
     n_abx: int
 
     def __post_init__(self) -> None:
-        for name, value in self.as_dict().items():
+        for name, value in self.__dict__.items():
             _check_count(name, value)
-            if value > 2**53:
-                raise InvalidCounts(f"{name} exceeds 2**53, above which counts are not exact as floats")
         if self.n_ab > min(self.n_a, self.n_b):
             raise InvalidCounts(f"n_ab={self.n_ab} exceeds min(n_a, n_b)")
         if self.n_ax > self.n_a:
@@ -237,29 +234,20 @@ class CountTable:
         return upper and lower
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "n_a": self.n_a, "n_b": self.n_b, "n_ab": self.n_ab,
-            "n_ax": self.n_ax, "n_bx": self.n_bx, "n_abx": self.n_abx,
-        }
+        return self.__dict__.copy()
 
     @classmethod
     def from_dict(cls, data: dict) -> "CountTable":
+        """The table of a count-table JSON object; integral floats are read as ints."""
         if not isinstance(data, dict):
             raise InvalidCounts(f"count-table JSON must be an object, got {type(data).__name__}")
-        try:
-            values = {key: data[key] for key in ("n_a", "n_b", "n_ab", "n_ax", "n_bx", "n_abx")}
-        except KeyError as exc:
-            raise InvalidCounts(f"count-table JSON is missing key {exc.args[0]!r}") from exc
-        coerced = {}
-        for key, value in values.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise InvalidCounts(f"{key} must be a number, got {value!r}")
-            if isinstance(value, float):
-                if not value.is_integer():
-                    raise InvalidCounts(f"{key} must be integral, got {value!r}")
-                value = int(value)
-            coerced[key] = value
-        return cls(**coerced)
+        values = {}
+        for key in cls.__dataclass_fields__:
+            if key not in data:
+                raise InvalidCounts(f"count-table JSON is missing key {key!r}")
+            value = data[key]
+            values[key] = int(value) if isinstance(value, float) and value.is_integer() else value
+        return cls(**values)
 
 
 def marginals(counts: ThreeTermCounts) -> CountTable:

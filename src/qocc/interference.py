@@ -55,7 +55,7 @@ class InterferenceInterval:
         return self.lo - slack <= value <= self.hi + slack
 
     def as_dict(self) -> dict[str, float]:
-        return {"lo": self.lo, "hi": self.hi, "raw_lo": self.raw_lo, "raw_hi": self.raw_hi}
+        return self.__dict__.copy()
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,11 @@ class ExtensionClass(enum.Enum):
     SINGLE_EXTENSION = "single_extension"
     DOUBLE_OVEREXTENSION = "double_overextension"
     BOUNDARY = "boundary"
+
+
+def _check_probability(name: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise InvalidInput(f"{name}={value!r} is outside [0, 1]")
 
 
 def _model_ratio(a: float, b: float, g: float, u: float, v: float, message: str) -> float:
@@ -117,15 +122,10 @@ def mu_ab_interference_sums(table: CountTable, k_x: float, k_x_prime: float) -> 
 
 def mu_ab_interference(table: CountTable, phases: PhaseAssignment) -> float:
     """Combined probability from explicit per-page phase differences."""
-    if len(phases.deltas_x) != table.n_abx:
-        raise InvalidInput(
-            f"need {table.n_abx} phase differences for the abx pages, got {len(phases.deltas_x)}"
-        )
-    if len(phases.deltas_x_prime) != table.n_abx_prime:
-        raise InvalidInput(
-            f"need {table.n_abx_prime} phase differences for the abx' pages, "
-            f"got {len(phases.deltas_x_prime)}"
-        )
+    lists = (("abx", phases.deltas_x, table.n_abx), ("abx'", phases.deltas_x_prime, table.n_abx_prime))
+    for pages, deltas, need in lists:
+        if len(deltas) != need:
+            raise InvalidInput(f"need {need} phase differences for the {pages} pages, got {len(deltas)}")
     k_x = sum(math.cos(d) for d in phases.deltas_x)
     k_x_prime = sum(math.cos(d) for d in phases.deltas_x_prime)
     return mu_ab_interference_sums(table, k_x, k_x_prime)
@@ -154,8 +154,7 @@ def classify_extension(mu_a: float, mu_b: float, mu_ab: float) -> ExtensionClass
     rationals, so ties carry meaning.
     """
     for name, value in (("mu_a", mu_a), ("mu_b", mu_b), ("mu_ab", mu_ab)):
-        if not 0.0 <= value <= 1.0:
-            raise InvalidInput(f"{name}={value!r} is outside [0, 1]")
+        _check_probability(name, value)
     low, high = min(mu_a, mu_b), max(mu_a, mu_b)
     if abs(mu_ab - low) <= BOUNDARY_TOL or abs(mu_ab - high) <= BOUNDARY_TOL:
         return ExtensionClass.BOUNDARY

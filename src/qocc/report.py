@@ -29,11 +29,7 @@ class AnalysisReport:
     def as_dict(self) -> dict:
         return {
             "table": self.table.as_dict(),
-            "triple": {
-                "mu_a": self.triple.mu_a,
-                "mu_b": self.triple.mu_b,
-                "mu_ab_observed": self.triple.mu_ab_observed,
-            },
+            "triple": self.triple.__dict__.copy(),
             "extension": self.extension.value,
             "interference": self.interference.as_dict(),
             "interference_only_feasible": self.interference_only_feasible,

@@ -144,6 +144,13 @@ class TestAnalyze:
         assert code == 4
         assert "invalid count table" in err
 
+    def test_bool_count_exits_4_with_the_count_rule_message(self, capsys, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text('{"n_a": 3, "n_b": 3, "n_ab": true, "n_ax": 1, "n_bx": 1, "n_abx": 0}')
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, out) == (4, "")
+        assert err == "analyze: invalid count table: n_ab must be an integer, got True\n"
+
     def test_malformed_json_exits_4(self, capsys, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json", encoding="utf-8")

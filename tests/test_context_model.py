@@ -1,5 +1,6 @@
 """Six-parameter combined model: evaluation, intervals, and fitting."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -142,6 +143,26 @@ class TestMuAbFull:
             checked += 1
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "evaluator, args, message",
+    [
+        (mu_ab_cosines, (0.5, 0.5, -0.1, 0.5, 0.5, 0.5, 0.0, 0.0), "p_a=-0.1 must be in (0, 1]"),
+        (mu_ab_cosines, (0.5, 0.5, 0.5, 0.5, NAN, 0.5, 0.0, 0.0), "c=nan must be in [0, 1]"),
+        (mu_ab_cosines, (0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 3.0, 0.0), "x=3.0 is outside [-1, 1]"),
+        (mu_ab_cosines, (0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.0, NAN), "x_prime=nan is outside [-1, 1]"),
+        (mu_ab_full, (0.5, 0.5, ModelParams(1.0, 1.0, 0.5, 0.5, NAN, 0.0)), "x=nan is outside [-1, 1]"),
+        (mu_ab_convex, (0.5, 0.2, -1.0, 2.0), "p_a=-1.0 must be in (0, 1]"),
+        (mu_ab_convex, (0.2, 0.8, 1.0, 0.0), "p_b=0.0 must be in (0, 1]"),
+    ],
+)
+def test_evaluators_reject_arguments_outside_their_domains(evaluator, args, message):
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        evaluator(*args)
+
+
 class TestContextInterval:
     @pytest.mark.parametrize("example", CONTEXT_EXAMPLES, ids=lambda e: e.name)
     def test_reported_pinned_parameter_intervals(self, example):
@@ -214,11 +235,13 @@ class TestMuAbConvex:
         assert mu_ab_convex(0.2, 0.8, 1.0, 1.0) == pytest.approx(0.5)
 
     def test_full_weight_on_a(self):
-        assert mu_ab_convex(0.2, 0.8, 1.0, 0.0) == pytest.approx(0.2)
+        # weights lie in (0, 1], so "all on a" is the limit of a vanishing p_b
+        assert mu_ab_convex(0.2, 0.8, 1.0, 1e-12) == pytest.approx(0.2)
 
     def test_zero_weights_raise(self):
+        # weights inside their domain whose sum still meets DENOMINATOR_TOL
         with pytest.raises(DegenerateDenominator):
-            mu_ab_convex(0.2, 0.8, 0.0, 0.0)
+            mu_ab_convex(0.2, 0.8, 1e-13, 1e-13)
 
 
 class TestFitParams:

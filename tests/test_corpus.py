@@ -1,5 +1,6 @@
 """Tokenizing, three-term counting, marginals, ratios, and serialization."""
 import json
+import math
 import re
 
 import numpy as np
@@ -164,11 +165,16 @@ class TestThreeTermCounts:
         with pytest.raises(InvalidCounts, match=r"^cell n111 is negative: an integer of \d+ bits$"):
             ThreeTermCounts(n111=-10**5000)
 
-    @pytest.mark.parametrize("value", [1.5, "3", None])
+    @pytest.mark.parametrize("value", [1.5, "3", None, True, False])
     def test_rejects_a_cell_that_is_not_an_integer(self, value):
         message = f"cell n111 must be an integer, got {value!r}"
         with pytest.raises(InvalidCounts, match=f"^{re.escape(message)}$"):
             ThreeTermCounts(n111=value)
+
+    def test_cells_are_bounded_by_2_to_the_53(self):
+        assert marginals(ThreeTermCounts(n111=2**53)).n_abx == 2**53
+        with pytest.raises(InvalidCounts, match=r"^cell n010 exceeds 2\*\*53, above which"):
+            ThreeTermCounts(n010=2**53 + 1)
 
 
 class TestMarginals:
@@ -228,6 +234,16 @@ class TestCountTable:
         with pytest.raises(InvalidCounts, match=r"^n_a is negative: an integer of \d+ bits$"):
             CountTable(n_a=-10**5000, n_b=1, n_ab=0, n_ax=0, n_bx=0, n_abx=0)
 
+    @pytest.mark.parametrize("value", [True, False, 1.5])
+    def test_rejects_a_count_that_is_not_an_integer(self, value):
+        message = f"n_bx must be an integer, got {value!r}"
+        with pytest.raises(InvalidCounts, match=f"^{re.escape(message)}$"):
+            CountTable(n_a=1, n_b=1, n_ab=1, n_ax=1, n_bx=value, n_abx=1)
+
+    def test_rejects_nax_above_na(self):
+        with pytest.raises(InvalidCounts, match=r"^n_ax=6 exceeds n_a=5$"):
+            CountTable(n_a=5, n_b=10, n_ab=1, n_ax=6, n_bx=0, n_abx=0)
+
     def test_rejects_nab_above_totals(self):
         with pytest.raises(InvalidCounts):
             CountTable(n_a=5, n_b=10, n_ab=6, n_ax=0, n_bx=0, n_abx=0)
@@ -255,6 +271,18 @@ class TestCountTable:
     def test_from_dict_rejects_missing_key(self):
         with pytest.raises(InvalidCounts):
             CountTable.from_dict({"n_a": 1})
+
+    @pytest.mark.parametrize("value", [True, False, None, "3", [], 1.5, math.nan, math.inf])
+    def test_from_dict_leaves_every_cell_check_to_the_count_rule(self, value):
+        data = {"n_a": 1, "n_b": 1, "n_ab": 1, "n_ax": 1, "n_bx": value, "n_abx": 1}
+        message = f"n_bx must be an integer, got {value!r}"
+        with pytest.raises(InvalidCounts, match=f"^{re.escape(message)}$"):
+            CountTable.from_dict(data)
+
+    def test_from_dict_reads_integral_floats_as_ints(self):
+        data = {"n_a": 2.0, "n_b": 1, "n_ab": 1, "n_ax": -0.0, "n_bx": 1, "n_abx": 1}
+        table = CountTable.from_dict(data)
+        assert (type(table.n_a), table.n_a, type(table.n_ax), table.n_ax) == (int, 2, int, 0)
 
     def test_from_dict_rejects_fractional(self):
         data = {"n_a": 1.5, "n_b": 1, "n_ab": 1, "n_ax": 0, "n_bx": 0, "n_abx": 0}

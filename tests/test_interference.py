@@ -1,5 +1,6 @@
 """Phase-parametrized combined probability, its admissible interval, taxonomy."""
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -105,11 +106,16 @@ class TestMuAbInterference:
         table = CountTable(n_a=10, n_b=10, n_ab=4, n_ax=4, n_bx=4, n_abx=2)
         with pytest.raises(InvalidInput):
             mu_ab_interference(table, PhaseAssignment(deltas_x=(0.0,), deltas_x_prime=()))
+        message = "need 2 phase differences for the abx' pages, got 3"
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            mu_ab_interference(table, PhaseAssignment(deltas_x=(0.0, 0.0), deltas_x_prime=(0.0,) * 3))
 
     def test_rejects_cosine_sum_outside_range(self):
         table = CountTable(n_a=10, n_b=10, n_ab=4, n_ax=4, n_bx=4, n_abx=2)
         with pytest.raises(InvalidInput):
             mu_ab_interference_sums(table, 3.0, 0.0)
+        with pytest.raises(InvalidInput, match=re.escape("k_x_prime=-3.0 outside [-n_abx', n_abx']")):
+            mu_ab_interference_sums(table, 0.0, -3.0)
 
     def test_degenerate_normalization_raises(self):
         # a == b page-for-page with fully opposed phases cancels the state sum

@@ -99,7 +99,7 @@ def cmd_count(args: argparse.Namespace) -> None:
         documents = load_corpus(args.corpus_path)
     except OSError as exc:
         raise _Exit(EXIT_UNREADABLE, f"count: cannot read corpus: {exc}")
-    except (ValueError, RecursionError, KeyError, QoccError) as exc:
+    except (ValueError, QoccError) as exc:
         raise _Exit(EXIT_UNREADABLE, f"count: malformed corpus file: {exc}")
     if not documents:
         raise _Exit(EXIT_EMPTY_CORPUS, f"count: no documents under {args.corpus_path}")

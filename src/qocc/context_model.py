@@ -42,8 +42,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateDenominator, InvalidInput, UnreachableTarget
-from .interference import DENOMINATOR_TOL, InterferenceInterval, _check_probability, _model_ratio
+from .corpus import _check_probability
+from .errors import InvalidInput, UnreachableTarget
+from .interference import InterferenceInterval, _model_ratio
 
 RESIDUAL_BOUND = 1e-9
 TWO_PI = 2.0 * math.pi
@@ -78,6 +79,8 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         _check_weights_and_moduli(self.p_a, self.p_b, self.c, self.c_prime)
+        if not (math.isfinite(self.phi) and math.isfinite(self.phi_prime)):
+            raise InvalidInput(f"phi={self.phi!r} and phi_prime={self.phi_prime!r} must be finite")
         object.__setattr__(self, "phi", self.phi % TWO_PI)
         object.__setattr__(self, "phi_prime", self.phi_prime % TWO_PI)
 
@@ -95,15 +98,16 @@ class FitResult:
         return {**self.params.as_dict(), "residual": self.residual, "strategy": self.strategy.value}
 
 
-def _check_measurements(mu_a: float, mu_b: float) -> None:
-    _check_probability("mu_a", mu_a)
-    _check_probability("mu_b", mu_b)
-
-
 def _coefficients(
     mu_a: float, mu_b: float, p_a: float, p_b: float, c: float, c_prime: float
 ) -> tuple[float, float, float, float, float]:
-    """(a, b, g, k, k') with mu_ab = (a + g*(k*x)) / (b + g*(k*x + k'*x'))."""
+    """(a, b, g, k, k') with mu_ab = (a + g*(k*x)) / (b + g*(k*x + k'*x')).
+
+    Arguments outside the domains ``context_interval`` states raise InvalidInput.
+    """
+    _check_weights_and_moduli(p_a, p_b, c, c_prime)
+    _check_probability("mu_a", mu_a)
+    _check_probability("mu_b", mu_b)
     return (
         p_a * mu_a + p_b * mu_b,
         p_a + p_b,
@@ -130,12 +134,11 @@ def mu_ab_cosines(
     x_prime: float,
 ) -> float:
     """Model probability at the cosines x, x' in [-1, 1]; other arguments as in ``context_interval``."""
-    _check_weights_and_moduli(p_a, p_b, c, c_prime)
-    _check_measurements(mu_a, mu_b)
+    coeffs = _coefficients(mu_a, mu_b, p_a, p_b, c, c_prime)
     for name, value in (("x", x), ("x_prime", x_prime)):
         if not -1.0 <= value <= 1.0:
             raise InvalidInput(f"{name}={value!r} is outside [-1, 1]")
-    return _mu(_coefficients(mu_a, mu_b, p_a, p_b, c, c_prime), x, x_prime)
+    return _mu(coeffs, x, x_prime)
 
 
 def mu_ab_full(mu_a: float, mu_b: float, params: ModelParams) -> float:
@@ -149,11 +152,7 @@ def mu_ab_full(mu_a: float, mu_b: float, params: ModelParams) -> float:
 
 def mu_ab_convex(mu_a: float, mu_b: float, p_a: float, p_b: float) -> float:
     """(p_a mu_a + p_b mu_b) / (p_a + p_b), the no-interference limit; weights in (0, 1]."""
-    _check_weights_and_moduli(p_a, p_b, 0.0, 0.0)
-    _check_measurements(mu_a, mu_b)
-    if p_a + p_b <= DENOMINATOR_TOL:
-        raise DegenerateDenominator("p_a + p_b vanishes")
-    return (p_a * mu_a + p_b * mu_b) / (p_a + p_b)
+    return _mu(_coefficients(mu_a, mu_b, p_a, p_b, 0.0, 0.0), 0.0, 0.0)
 
 
 def context_interval(
@@ -171,8 +170,6 @@ def context_interval(
     Weights and moduli must lie in the domains ``ModelParams`` enforces;
     anything else raises InvalidInput.
     """
-    _check_weights_and_moduli(p_a, p_b, c, c_prime)
-    _check_measurements(mu_a, mu_b)
     return _interval(_coefficients(mu_a, mu_b, p_a, p_b, c, c_prime))
 
 
@@ -183,9 +180,7 @@ def _interval(coeffs: tuple[float, ...]) -> InterferenceInterval:
 
 def _normalized_weights(ratio: float) -> tuple[float, float]:
     """(p_a, p_b) with p_a / p_b = ratio and max(p_a, p_b) = 1."""
-    if ratio >= 1.0:
-        return 1.0, 1.0 / ratio
-    return ratio, 1.0
+    return min(1.0, ratio), min(1.0, 1.0 / ratio)
 
 
 def _solve_cosine(coeffs: tuple[float, ...], target: float, fixed: float, for_x: bool) -> float:
@@ -267,7 +262,6 @@ def fit_params_constrained(
     sits relative to [min(mu_a, mu_b), max(mu_a, mu_b)].
     """
     _check_fit_inputs(mu_a, mu_b, target)
-    _check_weights_and_moduli(p_a, p_b, c, c_prime)
     coeffs = _coefficients(mu_a, mu_b, p_a, p_b, c, c_prime)
     interval = _interval(coeffs)
     if not interval.contains(target, RESIDUAL_BOUND):

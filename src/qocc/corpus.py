@@ -92,8 +92,8 @@ def load_corpus(path: str | Path, config: TokenizerConfig = DEFAULT_TOKENIZER) -
 
     Directory: every regular file is one document, id = file name, in name
     order.  JSON lines: one {"id": ..., "text": ...} object per line; a line
-    that is valid JSON but not an object raises InvalidInput.  Equal tokens
-    share one string object across the whole corpus.
+    that is not such an object raises InvalidInput naming its line number.
+    Equal tokens share one string object across the whole corpus.
     """
     shared: dict[str, str] = {}
 
@@ -116,10 +116,16 @@ def load_corpus(path: str | Path, config: TokenizerConfig = DEFAULT_TOKENIZER) -
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise InvalidInput(f"line {line_no}: expected a JSON object, got {type(record).__name__}")
-            docs.append(document(str(record["id"]), str(record["text"])))
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise InvalidInput(f"expected a JSON object, got {type(record).__name__}")
+                doc_id, text = str(record["id"]), str(record["text"])
+            except KeyError as exc:
+                raise InvalidInput(f"line {line_no}: missing key {exc}") from exc
+            except (ValueError, RecursionError, InvalidInput) as exc:
+                raise InvalidInput(f"line {line_no}: {exc}") from exc
+            docs.append(document(doc_id, text))
     return docs
 
 
@@ -129,6 +135,11 @@ def _count_text(value: int) -> str:
         return str(value)
     except ValueError:
         return f"an integer of {value.bit_length()} bits"
+
+
+def _check_probability(name: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise InvalidInput(f"{name}={value!r} is outside [0, 1]")
 
 
 def _check_count(name: str, value: int) -> None:
@@ -303,10 +314,9 @@ def table_from_ratios(
     for name, total in (("n_a", n_a), ("n_b", n_b), ("n_ab", n_ab)):
         if total <= 0:
             raise InconsistentRatios(f"total {name} must be positive, got {total}")
-    for name, ratio in (("mu_a", mu_a), ("mu_b", mu_b), ("mu_ab", mu_ab)):
-        if not 0.0 <= ratio <= 1.0:
-            raise InconsistentRatios(f"ratio {name}={ratio!r} is outside [0, 1]")
     try:
+        for name, ratio in (("mu_a", mu_a), ("mu_b", mu_b), ("mu_ab", mu_ab)):
+            _check_probability(f"ratio {name}", ratio)
         return CountTable(
             n_a=n_a,
             n_b=n_b,
@@ -315,5 +325,5 @@ def table_from_ratios(
             n_bx=_round_half_up(mu_b * n_b),
             n_abx=_round_half_up(mu_ab * n_ab),
         )
-    except InvalidCounts as exc:
+    except (InvalidInput, InvalidCounts) as exc:
         raise InconsistentRatios(str(exc)) from exc

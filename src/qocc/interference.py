@@ -25,7 +25,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .corpus import CountTable
+from .corpus import CountTable, _check_probability
 from .errors import DegenerateDenominator, InvalidInput, ZeroDenominator
 
 DENOMINATOR_TOL = 1e-12
@@ -46,10 +46,6 @@ class InterferenceInterval:
     hi: float
     raw_lo: float
     raw_hi: float
-
-    def __post_init__(self) -> None:
-        if not (self.lo <= self.hi + 1e-12):
-            raise DegenerateDenominator(f"interval endpoints out of order: {self.lo!r} > {self.hi!r}")
 
     def contains(self, value: float, slack: float = FEASIBILITY_SLACK) -> bool:
         return self.lo - slack <= value <= self.hi + slack
@@ -77,11 +73,6 @@ class ExtensionClass(enum.Enum):
     SINGLE_EXTENSION = "single_extension"
     DOUBLE_OVEREXTENSION = "double_overextension"
     BOUNDARY = "boundary"
-
-
-def _check_probability(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise InvalidInput(f"{name}={value!r} is outside [0, 1]")
 
 
 def _model_ratio(a: float, b: float, g: float, u: float, v: float, message: str) -> float:
@@ -136,7 +127,8 @@ def interference_interval(table: CountTable) -> InterferenceInterval:
     d = table.n_abx - table.n_abx_prime
     message = "|n_abx - n_abx'| reaches sqrt(n_a * n_b); the extremal ratio is singular"
     raw_lo, raw_hi = _count_ratios(table, message, (-table.n_abx, -d), (table.n_abx, d))
-    return InterferenceInterval(min(1.0, max(0.0, raw_lo)), min(1.0, max(0.0, raw_hi)), raw_lo, raw_hi)
+    # raw_lo <= 1 (a / 2 <= 1, d <= k) and raw_hi >= 0 (a, k >= 0) hold for every table
+    return InterferenceInterval(max(0.0, raw_lo), min(1.0, raw_hi), raw_lo, raw_hi)
 
 
 def fits_interference_only(table: CountTable) -> bool:

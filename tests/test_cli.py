@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, canonical JSON, parity with the library."""
 import contextlib
+import errno
 import io
 import json
 import os
@@ -58,6 +59,19 @@ class TestCount:
         assert code == 2
         assert out == ""
         assert "cannot read" in err
+
+    def test_unreadable_directory_entry_exits_2(self, capsys, tmp_path, monkeypatch):
+        # an errno that does not mean "not a file" (here EACCES) is not skipped
+        class Unreadable:
+            name = path = "doc.txt"
+
+            def is_file(self):
+                raise PermissionError(errno.EACCES, "Permission denied", self.path)
+
+        monkeypatch.setattr(os, "scandir", lambda path: contextlib.nullcontext([Unreadable()]))
+        code, out, err = run(capsys, "count", str(tmp_path), "a", "b", "x")
+        assert (code, out) == (2, "")
+        assert err.startswith("count: cannot read corpus: [Errno 13] Permission denied")
 
     def test_empty_corpus_exits_3(self, capsys, tmp_path):
         empty = tmp_path / "empty"
@@ -546,6 +560,17 @@ MALFORMED_INPUTS = {
     "count-json-line-nested-too-deep-to-parse": (["count", "{deep}", "a", "b", "x"], 2),
     "count-json-id-too-long-to-parse": (["count", "{long_id}", "a", "b", "x"], 2),
     "count-json-text-too-long-to-parse": (["count", "{long_text}", "a", "b", "x"], 2),
+    "count-json-line-cut-short": (["count", "{cut_short}", "a", "b", "x"], 2),
+    "count-json-line-without-text": (["count", "{no_text}", "a", "b", "x"], 2),
+}
+# the corpus line that each malformed JSON-lines case names
+MALFORMED_LINE_NUMBERS = {
+    "count-json-line-not-object": 2,
+    "count-json-line-nested-too-deep-to-parse": 1,
+    "count-json-id-too-long-to-parse": 1,
+    "count-json-text-too-long-to-parse": 1,
+    "count-json-line-cut-short": 3,
+    "count-json-line-without-text": 3,
 }
 
 
@@ -566,12 +591,16 @@ def test_malformed_input_exits_with_its_code_and_no_traceback(tmp_path, case):
     (tmp_path / "deep.json").write_text("[" * 100000 + "\n", encoding="utf-8")
     (tmp_path / "long_id.jsonl").write_text('{"id": 1%s, "text": "a b"}\n' % ("0" * 5000), encoding="utf-8")
     (tmp_path / "long_text.jsonl").write_text('{"id": "d1", "text": 1%s}\n' % ("0" * 5000), encoding="utf-8")
+    good = '{"id": "d1", "text": "a b"}\n{"id": "d2", "text": "b"}\n'
+    (tmp_path / "cut_short.jsonl").write_text(good + '{"id": "d3", "text": \n', encoding="utf-8")
+    (tmp_path / "no_text.jsonl").write_text(good + '{"id": "d3"}\n', encoding="utf-8")
     paths = {
         "table": tmp_path / "table.json", "binary": tmp_path / "binary.txt",
         "binary_dir": tmp_path / "binary_dir", "jsonl": tmp_path / "corpus.jsonl",
         "huge": tmp_path / "huge.json", "long_int": tmp_path / "long_int.json",
         "deep": tmp_path / "deep.json", "long_id": tmp_path / "long_id.jsonl",
-        "long_text": tmp_path / "long_text.jsonl",
+        "long_text": tmp_path / "long_text.jsonl", "cut_short": tmp_path / "cut_short.jsonl",
+        "no_text": tmp_path / "no_text.jsonl",
     }
     argv, expected = MALFORMED_INPUTS[case]
     argv = [arg.format(**paths) for arg in argv]
@@ -582,3 +611,6 @@ def test_malformed_input_exits_with_its_code_and_no_traceback(tmp_path, case):
     assert done.returncode == expected
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith(argv[0] + ": ") and done.stderr.count("\n") == 1
+    if case in MALFORMED_LINE_NUMBERS:
+        line = MALFORMED_LINE_NUMBERS[case]
+        assert done.stderr.startswith(f"count: malformed corpus file: line {line}: ")

@@ -8,8 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qocc.context_model import (
+    RESIDUAL_BOUND,
     FitStrategy,
     ModelParams,
+    _checked_fit,
+    _coefficients,
     context_interval,
     fit_params,
     fit_params_constrained,
@@ -144,6 +147,7 @@ class TestMuAbFull:
 
 
 NAN = float("nan")
+ONE_UP = math.nextafter(1.0, 2.0)
 
 
 @pytest.mark.parametrize(
@@ -153,9 +157,18 @@ NAN = float("nan")
         (mu_ab_cosines, (0.5, 0.5, 0.5, 0.5, NAN, 0.5, 0.0, 0.0), "c=nan must be in [0, 1]"),
         (mu_ab_cosines, (0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 3.0, 0.0), "x=3.0 is outside [-1, 1]"),
         (mu_ab_cosines, (0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.0, NAN), "x_prime=nan is outside [-1, 1]"),
-        (mu_ab_full, (0.5, 0.5, ModelParams(1.0, 1.0, 0.5, 0.5, NAN, 0.0)), "x=nan is outside [-1, 1]"),
+        (ModelParams, (1.0, 1.0, 0.5, 0.5, NAN, 0.0), "phi=nan and phi_prime=0.0 must be finite"),
         (mu_ab_convex, (0.5, 0.2, -1.0, 2.0), "p_a=-1.0 must be in (0, 1]"),
         (mu_ab_convex, (0.2, 0.8, 1.0, 0.0), "p_b=0.0 must be in (0, 1]"),
+        (ModelParams, (1.0, 1.0, 0.5, 0.5, 0.0, -math.inf), "phi=0.0 and phi_prime=-inf must be finite"),
+        (mu_ab_cosines, (0.5, 0.5, ONE_UP, 0.5, 0.5, 0.5, 0.0, 0.0),
+         "p_a=1.0000000000000002 must be in (0, 1]"),
+        (mu_ab_cosines, (0.5, 0.5, 0.5, 0.5, 0.5, 0.5, ONE_UP, 0.0),
+         "x=1.0000000000000002 is outside [-1, 1]"),
+        (mu_ab_cosines, (0.5, 0.5, 0.5, 0.5, 0.5, ONE_UP, 0.0, 0.0),
+         "c_prime=1.0000000000000002 must be in [0, 1]"),
+        (mu_ab_cosines, (0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.0, -ONE_UP),
+         "x_prime=-1.0000000000000002 is outside [-1, 1]"),
     ],
 )
 def test_evaluators_reject_arguments_outside_their_domains(evaluator, args, message):
@@ -240,7 +253,7 @@ class TestMuAbConvex:
 
     def test_zero_weights_raise(self):
         # weights inside their domain whose sum still meets DENOMINATOR_TOL
-        with pytest.raises(DegenerateDenominator):
+        with pytest.raises(DegenerateDenominator, match="^model normalization vanished"):
             mu_ab_convex(0.2, 0.8, 1e-13, 1e-13)
 
 
@@ -380,11 +393,37 @@ class TestFitParams:
                 assert result.strategy is FitStrategy.CONVEX_NO_INTERFERENCE
 
 
+def test_a_fit_fails_just_over_the_residual_bound():
+    # mu_a = mu_b = 0 makes the model 0 at every cosine, so the residual is the target itself
+    coeffs = _coefficients(0.0, 0.0, 1.0, 1.0, 0.0, 0.0)
+    params = ModelParams(1.0, 1.0, 0.0, 0.0, math.pi / 2.0, math.pi / 2.0)
+    strategy = FitStrategy.CONVEX_NO_INTERFERENCE
+    assert _checked_fit(coeffs, RESIDUAL_BOUND, params, strategy).residual == RESIDUAL_BOUND
+    with pytest.raises(UnreachableTarget, match="exceeds 1e-09$"):
+        _checked_fit(coeffs, math.nextafter(RESIDUAL_BOUND, 1.0), params, strategy)
+
+
 class TestFitParamsConstrained:
     def test_reaches_target_inside_the_pinned_interval(self):
         result = fit_params_constrained(0.0522, 0.213, 0.29, 0.5, 0.5, 0.5, 0.5)
         assert result.residual <= 1e-9
         assert result.params.c == 0.5
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_a_target_beside_the_corner_moves_only_its_own_legs_phase(self, side):
+        # the corner (x, x') = (+1, +1) joins the legs: below it only phi moves, above it only phi'
+        corner = mu_ab_cosines(0.3, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+        result = fit_params_constrained(0.3, 0.5, corner + side * 1e-12, 1.0, 1.0, 1.0, 1.0)
+        assert result.residual <= 1e-15
+        phases = (result.params.phi, result.params.phi_prime)
+        moved, still = phases if side < 0 else phases[::-1]
+        assert moved > 0.0 and still == 0.0
+
+    def test_a_cosine_the_target_ignores_is_reported_at_a_right_angle(self):
+        # c = 0 takes x out of the model, so x solves at any value; the fit reports 0, phase pi/2
+        corner = mu_ab_cosines(0.3, 0.5, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0)
+        result = fit_params_constrained(0.3, 0.5, corner, 1.0, 1.0, 0.0, 1.0)
+        assert (result.params.phi, result.params.phi_prime) == (math.pi / 2.0, 0.0)
 
     def test_unreachable_target_raises(self):
         # the pinned interval for these parameters tops out below 0.9

@@ -22,7 +22,7 @@ from qocc.corpus import (
     table_from_ratios,
     tokenize,
 )
-from qocc.errors import InconsistentRatios, InvalidCounts, ZeroDenominator
+from qocc.errors import InconsistentRatios, InvalidCounts, InvalidInput, ZeroDenominator
 
 from conftest import brute_force_cells
 
@@ -244,6 +244,10 @@ class TestCountTable:
         with pytest.raises(InvalidCounts, match=r"^n_ax=6 exceeds n_a=5$"):
             CountTable(n_a=5, n_b=10, n_ab=1, n_ax=6, n_bx=0, n_abx=0)
 
+    def test_rejects_nbx_above_nb(self):
+        with pytest.raises(InvalidCounts, match=r"^n_bx=11 exceeds n_b=10$"):
+            CountTable(n_a=5, n_b=10, n_ab=1, n_ax=0, n_bx=11, n_abx=0)
+
     def test_rejects_nab_above_totals(self):
         with pytest.raises(InvalidCounts):
             CountTable(n_a=5, n_b=10, n_ab=6, n_ax=0, n_bx=0, n_abx=0)
@@ -267,6 +271,12 @@ class TestCountTable:
     def test_json_round_trip(self):
         table = CountTable(n_a=10, n_b=8, n_ab=6, n_ax=4, n_bx=3, n_abx=2)
         assert CountTable.from_dict(json.loads(json.dumps(table.as_dict()))) == table
+
+    @pytest.mark.parametrize("data", [None, [1, 2], "table", 3])
+    def test_from_dict_rejects_a_value_that_is_not_an_object(self, data):
+        message = f"count-table JSON must be an object, got {type(data).__name__}"
+        with pytest.raises(InvalidCounts, match=f"^{re.escape(message)}$"):
+            CountTable.from_dict(data)
 
     def test_from_dict_rejects_missing_key(self):
         with pytest.raises(InvalidCounts):
@@ -345,18 +355,26 @@ class TestTableFromRatios:
     def test_rejects_ratio_outside_unit_interval(self):
         with pytest.raises(InconsistentRatios):
             table_from_ratios(10, 10, 5, 1.2, 0.0, 0.0)
+        message = "ratio mu_b=1.0000000000000002 is outside [0, 1]"
+        with pytest.raises(InconsistentRatios, match=f"^{re.escape(message)}$"):
+            table_from_ratios(10, 10, 5, 0.5, math.nextafter(1.0, 2.0), 0.0)
 
     def test_rejects_impossible_totals(self):
         with pytest.raises(InconsistentRatios):
             table_from_ratios(10, 10, 20, 0.5, 0.5, 0.5)
 
     def test_rejects_nonpositive_total(self):
-        with pytest.raises(InconsistentRatios):
+        with pytest.raises(InconsistentRatios, match=r"^total n_a must be positive, got 0$"):
             table_from_ratios(0, 10, 5, 0.5, 0.5, 0.5)
+        assert table_from_ratios(1, 1, 1, 1.0, 0.0, 0.0).as_dict() == {
+            "n_a": 1, "n_b": 1, "n_ab": 1, "n_ax": 1, "n_bx": 0, "n_abx": 0,
+        }
 
     def test_round_half_up(self):
         table = table_from_ratios(10, 10, 10, 0.25, 0.35, 0.45)
         assert (table.n_ax, table.n_bx, table.n_abx) == (3, 4, 5)
+        # a product 1e-10 short of a half rounds down
+        assert table_from_ratios(10, 10, 10, 0.04999999999, 0.0, 0.0).n_ax == 0
 
     @given(
         n_a=st.integers(1, 10_000),
@@ -406,6 +424,23 @@ class TestLoadCorpus:
         docs = load_corpus(path)
         assert [doc.id for doc in docs] == ["d1", "d2"]
         assert docs[1].tokens == ("olive", "oil")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"id": "d3", "text": ', "Expecting value: line 1 column 21 (char 20)"),
+            ('{"id": "d3"}', "missing key 'text'"),
+            ("[1, 2]", "expected a JSON object, got list"),
+            ('{"id": 1%s, "text": "a"}' % ("0" * 5000), "Exceeds the limit"),
+        ],
+        ids=["cut-short", "missing-key", "not-an-object", "int-too-long"],
+    )
+    def test_json_lines_errors_name_their_line(self, tmp_path, line, message):
+        # line 2 is blank, and still counted
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "d1", "text": "a"}\n\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(InvalidInput, match=f"^line 3: {re.escape(message)}"):
+            load_corpus(path)
 
     def test_equal_tokens_share_one_string(self, tmp_path):
         texts = ["Apple pie, apple!", "pie and APPLE", "\u00c4pfel apple \u00e4pfel"]

@@ -12,7 +12,11 @@ from qocc.errors import DegenerateDenominator, InvalidInput, ZeroDenominator
 from qocc.fixtures import INTERFERENCE_FEASIBLE, ROWS, exemplar_table
 from qocc.hilbert import identity_projector, mu_combined
 from qocc.interference import (
+    BOUNDARY_TOL,
+    DENOMINATOR_TOL,
+    FEASIBILITY_SLACK,
     ExtensionClass,
+    InterferenceInterval,
     PhaseAssignment,
     classify_extension,
     fits_interference_only,
@@ -126,6 +130,26 @@ class TestMuAbInterference:
         with pytest.raises(DegenerateDenominator):
             mu_ab_interference(table, phases)
 
+    @pytest.mark.parametrize(
+        "k_x, k_x_prime",
+        [(1e-9, 0.0), (-1e-9, 0.0), (0.0, 1e-9), (0.0, -1e-9)],
+    )
+    def test_cosine_sums_may_overshoot_their_range_by_1e_9(self, k_x, k_x_prime):
+        # n_abx = n_abx' = 0: both ranges are [-1e-9, 1e-9], where one ulp is far below a 1e-18 change
+        table = CountTable(n_a=10, n_b=10, n_ab=0, n_ax=4, n_bx=4, n_abx=0)
+        assert mu_ab_interference_sums(table, k_x, k_x_prime) == pytest.approx(0.4)
+        past = (math.nextafter(k_x, 2.0 * k_x), math.nextafter(k_x_prime, 2.0 * k_x_prime))
+        with pytest.raises(InvalidInput, match="outside"):
+            mu_ab_interference_sums(table, *past)
+
+    def test_normalization_at_the_tolerance_raises(self):
+        # a weight sum 2 * 5e-13 is DENOMINATOR_TOL exactly: doubling commutes with rounding
+        assert 5e-13 + 5e-13 == DENOMINATOR_TOL
+        with pytest.raises(DegenerateDenominator):
+            mu_ab_cosines(0.5, 0.5, 5e-13, 5e-13, 0.0, 0.0, 0.0, 0.0)
+        above = math.nextafter(5e-13, 1.0)
+        assert mu_ab_cosines(0.5, 0.5, above, above, 0.0, 0.0, 0.0, 0.0) == 0.5
+
 
 class TestInterferenceInterval:
     @pytest.mark.parametrize("name", [row.name for row in ROWS])
@@ -192,6 +216,27 @@ class TestInterferenceInterval:
         table = CountTable(n_a=100, n_b=100, n_ab=100, n_ax=40, n_bx=40, n_abx=100)
         with pytest.raises(DegenerateDenominator):
             interference_interval(table)
+
+    @pytest.mark.parametrize(
+        "table, raw_lo, raw_hi, lo, hi",
+        [
+            # classically impossible tables that CountTable accepts
+            (CountTable(10, 10, 10, 10, 10, 5), 0.5, 1.5, 0.5, 1.0),
+            (CountTable(10, 10, 10, 1, 1, 5), -0.4, 0.6, 0.0, 0.6),
+        ],
+    )
+    def test_endpoints_are_clamped_to_the_unit_interval(self, table, raw_lo, raw_hi, lo, hi):
+        interval = interference_interval(table)
+        assert (interval.raw_lo, interval.raw_hi) == pytest.approx((raw_lo, raw_hi), abs=1e-15)
+        assert (interval.lo, interval.hi) == pytest.approx((lo, hi), abs=1e-15)
+
+    def test_contains_reaches_exactly_the_slack(self):
+        # endpoints at 0 and 1e-12: there one ulp is far below a relative 1e-9 change of the slack
+        assert FEASIBILITY_SLACK == 1e-12
+        interval = InterferenceInterval(0.0, 1e-12, 0.0, 1e-12)
+        for edge, outward in ((-1e-12, -1.0), (2e-12, 1.0)):
+            assert interval.contains(edge)
+            assert not interval.contains(math.nextafter(edge, outward))
 
     def test_requires_positive_totals(self):
         table = CountTable(n_a=0, n_b=10, n_ab=0, n_ax=0, n_bx=5, n_abx=0)
@@ -295,6 +340,20 @@ class TestClassifyExtension:
     def test_boundary_tolerance_is_tight(self):
         assert classify_extension(0.3, 0.5, 0.3 + 5e-13) is ExtensionClass.BOUNDARY
         assert classify_extension(0.3, 0.5, 0.3 + 5e-12) is ExtensionClass.SINGLE_EXTENSION
+
+    @pytest.mark.parametrize(
+        "mu_a, mu_b, tie, outward, past",
+        [
+            # 2e-12 - 1e-12 and 1e-12 - 0 are BOUNDARY_TOL exactly, and one ulp further is past it
+            (0.0, 1e-12, 2e-12, 1.0, ExtensionClass.DOUBLE_OVEREXTENSION),
+            (2e-12, 0.5, 1e-12, 0.0, ExtensionClass.DOUBLE_UNDEREXTENSION),
+            (0.0, 0.5, 1e-12, 1.0, ExtensionClass.SINGLE_EXTENSION),
+        ],
+    )
+    def test_ties_reach_exactly_the_tolerance(self, mu_a, mu_b, tie, outward, past):
+        assert BOUNDARY_TOL == 1e-12
+        assert classify_extension(mu_a, mu_b, tie) is ExtensionClass.BOUNDARY
+        assert classify_extension(mu_a, mu_b, math.nextafter(tie, outward)) is past
 
     def test_rejects_values_outside_unit_interval(self):
         with pytest.raises(InvalidInput):

@@ -1,0 +1,57 @@
+"""tools/mutate.py names the mutants that no test fails, and writes nothing to the checkout it tests."""
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).parents[1] / "tools" / "mutate.py"
+MODULE = '''def checked(x):
+    if x is None:
+        raise ValueError("x is None")
+    return x
+'''
+# kills "is -> is not", which raises on 1, but not the dropped raise
+TESTS = '''from pkg.m import checked
+
+
+def test_checked():
+    assert checked(1) == 1
+'''
+
+
+def checkout(root: Path, tests: str) -> dict[Path, bytes]:
+    """A checkout with src/pkg/m.py and tests/test_m.py, as a map of its files' bytes."""
+    (root / "src" / "pkg").mkdir(parents=True)
+    (root / "src" / "pkg" / "__init__.py").write_text("", encoding="utf-8")
+    (root / "src" / "pkg" / "m.py").write_text(MODULE, encoding="utf-8")
+    (root / "tests").mkdir()
+    (root / "tests" / "test_m.py").write_text(tests, encoding="utf-8")
+    return files(root)
+
+
+def files(root: Path) -> dict[Path, bytes]:
+    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+def mutate(root: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(TOOL), "src/pkg/m.py", "--root", str(root)],
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_prints_each_survivor_and_leaves_the_checkout_alone(tmp_path):
+    before = checkout(tmp_path, TESTS)
+    done = mutate(tmp_path)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[:-1] == ["src/pkg/m.py:3 drop raise", "# src/pkg/m.py mutants=2 survived=1"]
+    assert re.fullmatch(r"# total mutants=2 killed=1 survived=1 seconds=\d+", lines[-1])
+    assert files(tmp_path) == before
+
+
+def test_stops_when_the_unmutated_module_fails_its_tests(tmp_path):
+    checkout(tmp_path, TESTS.replace("== 1", "== 2"))
+    done = mutate(tmp_path)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "mutate: tests fail on unmutated src/pkg/m.py; no mutant run\n"

@@ -9,6 +9,14 @@ from qocc.interference import ExtensionClass
 from qocc.report import build_report
 
 
+@pytest.mark.parametrize("n_abx", [1, 3])
+def test_context_only_feasible_includes_both_measurements(n_abx):
+    # mu_a = 0.2 and mu_b = 0.6; the observed n_abx / 5 is exactly one of them
+    report = build_report(CountTable(n_a=10, n_b=10, n_ab=5, n_ax=2, n_bx=6, n_abx=n_abx))
+    assert report.triple.mu_ab_observed in (report.triple.mu_a, report.triple.mu_b)
+    assert report.context_only_feasible
+
+
 def test_apple_report():
     report = build_report(exemplar_table("apple"))
     assert report.interference_only_feasible

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import math
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 # unit-interval arguments: both ends, signed zero, values 1e-12 or one ulp
@@ -91,6 +93,31 @@ def text(rng: random.Random) -> str:
     return " ".join(rng.choice(TEXT_PIECES) for _ in range(rng.randint(0, 6)))
 
 
+def json_lines(rng: random.Random) -> list[str]:
+    """A JSON-lines corpus: documents of TEXT_PIECES with blank, non-object, keyless or cut lines."""
+    lines = []
+    for i in range(rng.randint(0, 6)):
+        draw, line = rng.random(), json.dumps({"id": f"d{i}", "text": text(rng)})
+        if draw < 0.05:
+            line = rng.choice(("", " \t"))
+        elif draw < 0.1:
+            line = rng.choice(("[1, 2]", "3", '"text"', "null"))
+        elif draw < 0.15:
+            line = json.dumps({rng.choice(("id", "text")): "d"})
+        elif draw < 0.2:
+            line = line[: rng.randint(0, len(line) - 1)]
+        lines.append(line)
+    return lines
+
+
+def read_lines(qocc, lines: list[str]) -> list[tuple[str, tuple[str, ...]]]:
+    """(id, tokens) per document of load_corpus on the lines, written to a temporary file."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "corpus.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return [(doc.id, doc.tokens) for doc in qocc.load_corpus(path)]
+
+
 def corpus(rng: random.Random) -> tuple[list[list[str]], tuple[str, str, str]]:
     words = ("a", "b", "x", "y")
     docs = [rng.choices(words, k=rng.randint(0, 5)) for _ in range(rng.randint(0, 12))]
@@ -127,6 +154,7 @@ def cases(qocc, canonical_json) -> dict:
     table = qocc.CountTable
     return {
         "tokenize": (lambda r: (text(r),), qocc.tokenize),
+        "load_corpus": (lambda r: (json_lines(r),), lambda lines: read_lines(qocc, lines)),
         "count_corpus": (
             corpus,
             lambda docs, terms: qocc.count_corpus(

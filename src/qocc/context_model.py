@@ -98,16 +98,16 @@ class FitResult:
         return {**self.params.as_dict(), "residual": self.residual, "strategy": self.strategy.value}
 
 
-def _coefficients(
-    mu_a: float, mu_b: float, p_a: float, p_b: float, c: float, c_prime: float
-) -> tuple[float, float, float, float, float]:
-    """(a, b, g, k, k') with mu_ab = (a + g*(k*x)) / (b + g*(k*x + k'*x')).
-
-    Arguments outside the domains ``context_interval`` states raise InvalidInput.
-    """
+def _check_arguments(mu_a: float, mu_b: float, p_a: float, p_b: float, c: float, c_prime: float) -> None:
     _check_weights_and_moduli(p_a, p_b, c, c_prime)
     _check_probability("mu_a", mu_a)
     _check_probability("mu_b", mu_b)
+
+
+def _coefficients(
+    mu_a: float, mu_b: float, p_a: float, p_b: float, c: float, c_prime: float
+) -> tuple[float, float, float, float, float]:
+    """(a, b, g, k, k') with mu_ab = (a + g*(k*x)) / (b + g*(k*x + k'*x'))."""
     return (
         p_a * mu_a + p_b * mu_b,
         p_a + p_b,
@@ -134,11 +134,11 @@ def mu_ab_cosines(
     x_prime: float,
 ) -> float:
     """Model probability at the cosines x, x' in [-1, 1]; other arguments as in ``context_interval``."""
-    coeffs = _coefficients(mu_a, mu_b, p_a, p_b, c, c_prime)
+    _check_arguments(mu_a, mu_b, p_a, p_b, c, c_prime)
     for name, value in (("x", x), ("x_prime", x_prime)):
         if not -1.0 <= value <= 1.0:
             raise InvalidInput(f"{name}={value!r} is outside [-1, 1]")
-    return _mu(coeffs, x, x_prime)
+    return _mu(_coefficients(mu_a, mu_b, p_a, p_b, c, c_prime), x, x_prime)
 
 
 def mu_ab_full(mu_a: float, mu_b: float, params: ModelParams) -> float:
@@ -152,7 +152,7 @@ def mu_ab_full(mu_a: float, mu_b: float, params: ModelParams) -> float:
 
 def mu_ab_convex(mu_a: float, mu_b: float, p_a: float, p_b: float) -> float:
     """(p_a mu_a + p_b mu_b) / (p_a + p_b), the no-interference limit; weights in (0, 1]."""
-    return _mu(_coefficients(mu_a, mu_b, p_a, p_b, 0.0, 0.0), 0.0, 0.0)
+    return mu_ab_cosines(mu_a, mu_b, p_a, p_b, 0.0, 0.0, 0.0, 0.0)
 
 
 def context_interval(
@@ -170,6 +170,7 @@ def context_interval(
     Weights and moduli must lie in the domains ``ModelParams`` enforces;
     anything else raises InvalidInput.
     """
+    _check_arguments(mu_a, mu_b, p_a, p_b, c, c_prime)
     return _interval(_coefficients(mu_a, mu_b, p_a, p_b, c, c_prime))
 
 
@@ -262,6 +263,7 @@ def fit_params_constrained(
     sits relative to [min(mu_a, mu_b), max(mu_a, mu_b)].
     """
     _check_fit_inputs(mu_a, mu_b, target)
+    _check_weights_and_moduli(p_a, p_b, c, c_prime)
     coeffs = _coefficients(mu_a, mu_b, p_a, p_b, c, c_prime)
     interval = _interval(coeffs)
     if not interval.contains(target, RESIDUAL_BOUND):

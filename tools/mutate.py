@@ -1,6 +1,6 @@
 """Mutation sweep: which one-token changes to a module does no test notice?
 
-Usage: python tools/mutate.py MODULE [MODULE ...] [--root DIR] [--workers N]
+Usage: python tools/mutate.py MODULE [MODULE ...] [--root DIR]
 
 MODULE is a source file relative to ROOT, the checkout to test (by default the
 one that holds this tool), for example ``src/qocc/corpus.py``.  The tool makes
@@ -19,10 +19,11 @@ mutant written in the same second as the original could otherwise be shadowed
 by the original's cached bytecode.  The tests run are the test modules that
 import the mutated module, directly or through other modules' imports, with
 ``pytest -x --hypothesis-seed=0`` and the known acceptance failures
-deselected, the mutated module's own test file first.  A mutant is killed when
-pytest fails or runs past its time limit, five times the unmutated run plus
-30 s.  Before its mutants, each module runs once rewritten by ``ast.unparse``
-but unchanged; if that run fails, the tool stops with exit code 2.
+deselected, the mutated module's own test file first; WORKERS (two) mutants
+run at a time, each in its own copy.  A mutant is killed when pytest fails or
+runs past its time limit, five times the unmutated run plus 30 s.  Before
+its mutants, each module runs once rewritten by ``ast.unparse`` but
+unchanged; if that run fails, the tool stops with exit code 2.
 
 Output: one line per surviving mutant, ``<module>:<line> <mutation>``, then
 one ``#`` summary line per module and a total.  Standard library only.
@@ -50,6 +51,8 @@ KNOWN_FAILURES = (
 )
 # directories whose .py files tests import as top-level modules
 FLAT_DIRS = ("tests", "tools", "bench")
+# parallel pytest runs; each holds one copy of the checkout and one interpreter
+WORKERS = 2
 IGNORED = (".git", "__pycache__", "*.pyc", ".hypothesis", ".pytest_cache", ".bench_cache")
 FLIPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -192,16 +195,16 @@ def run_tests(copy: Path, tests: list[Path], timeout: float | None) -> tuple[boo
 
 
 class Sweep:
-    """Runs test jobs in ``workers`` private copies of ``root``, one job per copy at a time."""
+    """Runs test jobs in WORKERS private copies of ``root``, one job per copy at a time."""
 
-    def __init__(self, root: Path, scratch: Path, workers: int) -> None:
+    def __init__(self, root: Path, scratch: Path) -> None:
         self.root = root
         self.copies: queue.Queue[Path] = queue.Queue()
-        for i in range(workers):
+        for i in range(WORKERS):
             copy = scratch / f"copy{i}"
             shutil.copytree(root, copy, ignore=shutil.ignore_patterns(*IGNORED), symlinks=True)
             self.copies.put(copy)
-        self.pool = ThreadPoolExecutor(workers)
+        self.pool = ThreadPoolExecutor(WORKERS)
 
     def _run(self, relative: Path, source: str, tests: list[Path], timeout: float | None):
         copy = self.copies.get()
@@ -225,7 +228,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("modules", nargs="+", metavar="MODULE", help="source file relative to ROOT")
     default_root = str(Path(__file__).resolve().parents[1])
     parser.add_argument("--root", default=default_root, help="checkout to test (default: this one)")
-    parser.add_argument("--workers", type=int, default=2, help="parallel test runs (default 2)")
     args = parser.parse_args(argv)
     root = Path(args.root).resolve()
     start = time.perf_counter()
@@ -233,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     sources = [(root / module).read_text(encoding="utf-8") for module in modules]
     tests = [tests_reaching(root, root / module) for module in modules]
     with tempfile.TemporaryDirectory(prefix="mutate-") as scratch:
-        sweep = Sweep(root, Path(scratch), args.workers)
+        sweep = Sweep(root, Path(scratch))
         with sweep.pool:
             controls = [
                 sweep.submit(module, mutant_source(source, -1), found)

@@ -24,7 +24,6 @@ from .corpus import (
     Document,
     ProbabilityTriple,
     ThreeTermCounts,
-    TokenizerConfig,
     count_corpus,
     document_from_text,
     load_corpus,
@@ -45,7 +44,6 @@ from .errors import (
 from .interference import (
     ExtensionClass,
     InterferenceInterval,
-    PhaseAssignment,
     classify_extension,
     fits_interference_only,
     interference_interval,
@@ -69,11 +67,9 @@ __all__ = [
     "InvalidCounts",
     "InvalidInput",
     "ModelParams",
-    "PhaseAssignment",
     "ProbabilityTriple",
     "QoccError",
     "ThreeTermCounts",
-    "TokenizerConfig",
     "UnreachableTarget",
     "ZeroDenominator",
     "build_report",

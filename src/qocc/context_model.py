@@ -179,9 +179,10 @@ def _interval(coeffs: tuple[float, ...]) -> InterferenceInterval:
     return InterferenceInterval(lo=lo, hi=hi, raw_lo=lo, raw_hi=hi)
 
 
-def _normalized_weights(ratio: float) -> tuple[float, float]:
-    """(p_a, p_b) with p_a / p_b = ratio and max(p_a, p_b) = 1."""
-    return min(1.0, ratio), min(1.0, 1.0 / ratio)
+def _normalized_weights(num: float, den: float) -> tuple[float, float]:
+    """(p_a, p_b) with p_a / p_b = num / den and max(p_a, p_b) = 1, also where num / den is inf."""
+    ratio = num / den
+    return (1.0, 1.0 / ratio or den / num) if ratio >= 1.0 else (ratio, 1.0)
 
 
 def _solve_cosine(coeffs: tuple[float, ...], target: float, fixed: float, for_x: bool) -> float:
@@ -225,12 +226,12 @@ def fit_params(mu_a: float, mu_b: float, target: float) -> FitResult:
     low, high = min(mu_a, mu_b), max(mu_a, mu_b)
     if low < target < high or mu_a == mu_b == target:
         # convex combination alone: p_a / p_b = (mu_b - target) / (target - mu_a)
-        p_a, p_b = (1.0, 1.0) if mu_a == mu_b else _normalized_weights((mu_b - target) / (target - mu_a))
+        p_a, p_b = (1.0, 1.0) if mu_a == mu_b else _normalized_weights(mu_b - target, target - mu_a)
         params = ModelParams(p_a, p_b, 0.0, 0.0, math.pi / 2.0, math.pi / 2.0)
         coeffs = _coefficients(mu_a, mu_b, p_a, p_b, 0.0, 0.0)
         return _checked_fit(coeffs, target, params, FitStrategy.CONVEX_NO_INTERFERENCE)
     over = target >= high
-    p_a, p_b = _normalized_weights((1.0 - mu_b) / (1.0 - mu_a) if over else mu_b / mu_a)
+    p_a, p_b = _normalized_weights(*((1.0 - mu_b, 1.0 - mu_a) if over else (mu_b, mu_a)))
     coeffs = _coefficients(mu_a, mu_b, p_a, p_b, 1.0, 1.0)
     if target == 0.0 or target == 1.0:
         cosine = -1.0  # the solve would only round its way to -1

@@ -14,9 +14,9 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .errors import InconsistentRatios, InvalidCounts, InvalidInput, ZeroDenominator
+from .errors import InconsistentRatios, InvalidCounts, InvalidInput, QoccError, ZeroDenominator
 
 _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 # On ASCII text _WORD_RE matches exactly the runs of ASCII letters, so mapping
@@ -26,27 +26,13 @@ _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 _ASCII_SPLIT = str.maketrans({chr(c): chr(c) if chr(c).isalpha() else " " for c in range(128)})
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
-    """Unicode lowercasing, split on non-letters; optional stemmer hook."""
-
-    stemmer: Callable[[str], str] | None = None
-
-
-DEFAULT_TOKENIZER = TokenizerConfig()
-
-
-def tokenize(raw_text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str]:
+def tokenize(raw_text: str) -> list[str]:
     """Lowercase word tokens in order, duplicates kept, '' gives []."""
     lowered = raw_text.lower()
     # test the lowered text: some non-ASCII letters lowercase to ASCII (U+212A -> 'k')
     if lowered.isascii():
-        tokens = lowered.translate(_ASCII_SPLIT).split()
-    else:
-        tokens = _WORD_RE.findall(lowered)
-    if config.stemmer is not None:
-        tokens = [config.stemmer(tok) for tok in tokens]
-    return tokens
+        return lowered.translate(_ASCII_SPLIT).split()
+    return _WORD_RE.findall(lowered)
 
 
 @dataclass(frozen=True)
@@ -64,13 +50,15 @@ class Document:
     def __post_init__(self) -> None:
         if not self.id:
             raise InvalidCounts("document id must be nonempty")
+        if isinstance(self.tokens, str):
+            raise InvalidInput("document tokens must be a sequence of words, not one str")
         tokens = tuple(self.tokens)
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "terms", frozenset(tokens))
 
 
-def document_from_text(doc_id: str, text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> Document:
-    return Document(doc_id, tuple(tokenize(text, config)))
+def document_from_text(doc_id: str, text: str) -> Document:
+    return Document(doc_id, tuple(tokenize(text)))
 
 
 # errors that Path.is_file reads as "not a file": a dangling or looping symlink,
@@ -87,18 +75,19 @@ def _is_file(entry: os.DirEntry) -> bool:
         raise
 
 
-def load_corpus(path: str | Path, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[Document]:
+def load_corpus(path: str | Path) -> list[Document]:
     """Read a corpus: a directory of text files, or a JSON-lines file.
 
     Directory: every regular file is one document, id = file name, in name
-    order.  JSON lines: one {"id": ..., "text": ...} object per line; a line
-    that is not such an object raises InvalidInput naming its line number.
+    order; a file that is not UTF-8 raises InvalidInput naming the file.
+    JSON lines: one {"id": ..., "text": ...} object per line; a line that is
+    not such an object, or not UTF-8, raises InvalidInput naming its number.
     Equal tokens share one string object across the whole corpus.
     """
     shared: dict[str, str] = {}
 
     def document(doc_id: str, text: str) -> Document:
-        tokens = tokenize(text, config)
+        tokens = tokenize(text)
         return Document(doc_id, tuple(map(shared.setdefault, tokens, tokens)))
 
     p = Path(path)
@@ -109,23 +98,30 @@ def load_corpus(path: str | Path, config: TokenizerConfig = DEFAULT_TOKENIZER) -
         for name, file_path in files:
             # read bytes and decode whole: newline translation would not change a token
             with open(file_path, "rb") as handle:
-                docs.append(document(name, handle.read().decode("utf-8")))
-        return docs
-    with p.open(encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
+                data = handle.read()
             try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise InvalidInput(f"{name}: {exc}") from exc
+            docs.append(document(name, text))
+        return docs
+    # a byte that is not UTF-8 reads as a lone surrogate, and fails below in its own line
+    with p.open(encoding="utf-8", errors="surrogateescape") as handle:
+        for line_no, line in enumerate(handle, 1):
+            try:
+                if not line.isascii():
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                line = line.strip()
+                if not line:
+                    continue
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise InvalidInput(f"expected a JSON object, got {type(record).__name__}")
-                doc_id, text = str(record["id"]), str(record["text"])
+                docs.append(document(str(record["id"]), str(record["text"])))
             except KeyError as exc:
                 raise InvalidInput(f"line {line_no}: missing key {exc}") from exc
-            except (ValueError, RecursionError, InvalidInput) as exc:
+            except (ValueError, RecursionError, QoccError) as exc:
                 raise InvalidInput(f"line {line_no}: {exc}") from exc
-            docs.append(document(doc_id, text))
     return docs
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .corpus import CountTable, _check_probability
@@ -52,18 +53,6 @@ class InterferenceInterval:
 
     def as_dict(self) -> dict[str, float]:
         return self.__dict__.copy()
-
-
-@dataclass(frozen=True)
-class PhaseAssignment:
-    """Per-page phase differences for the abx pages and the abx' pages."""
-
-    deltas_x: tuple[float, ...] = ()
-    deltas_x_prime: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "deltas_x", tuple(float(d) for d in self.deltas_x))
-        object.__setattr__(self, "deltas_x_prime", tuple(float(d) for d in self.deltas_x_prime))
 
 
 class ExtensionClass(enum.Enum):
@@ -111,14 +100,16 @@ def mu_ab_interference_sums(table: CountTable, k_x: float, k_x_prime: float) -> 
     return _count_ratios(table, message, (k_x, k_x + k_x_prime))[0]
 
 
-def mu_ab_interference(table: CountTable, phases: PhaseAssignment) -> float:
-    """Combined probability from explicit per-page phase differences."""
-    lists = (("abx", phases.deltas_x, table.n_abx), ("abx'", phases.deltas_x_prime, table.n_abx_prime))
+def mu_ab_interference(
+    table: CountTable, deltas_x: Sequence[float], deltas_x_prime: Sequence[float]
+) -> float:
+    """Combined probability from per-page phase differences on the abx and abx' pages."""
+    lists = (("abx", deltas_x, table.n_abx), ("abx'", deltas_x_prime, table.n_abx_prime))
     for pages, deltas, need in lists:
         if len(deltas) != need:
             raise InvalidInput(f"need {need} phase differences for the {pages} pages, got {len(deltas)}")
-    k_x = sum(math.cos(d) for d in phases.deltas_x)
-    k_x_prime = sum(math.cos(d) for d in phases.deltas_x_prime)
+    k_x = sum(math.cos(d) for d in deltas_x)
+    k_x_prime = sum(math.cos(d) for d in deltas_x_prime)
     return mu_ab_interference_sums(table, k_x, k_x_prime)
 
 

@@ -17,7 +17,6 @@ from qocc.hilbert import (
     characteristic_state,
     project,
 )
-from qocc.interference import PhaseAssignment
 
 
 @dataclass(frozen=True)
@@ -55,14 +54,14 @@ class Web:
             n_abx=len(ab & self.j_x),
         )
 
-    def phase_assignment(self) -> PhaseAssignment:
-        """Per-page phase differences beta_j - alpha_j over the shared pages."""
+    def phase_assignment(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Per-page phase differences beta_j - alpha_j over the abx pages and the abx' pages."""
         ab = self.j_a & self.j_b
         with_x = sorted(ab & self.j_x)
         without_x = sorted(ab - self.j_x)
-        return PhaseAssignment(
-            deltas_x=tuple(self.betas[j] - self.alphas[j] for j in with_x),
-            deltas_x_prime=tuple(self.betas[j] - self.alphas[j] for j in without_x),
+        return (
+            tuple(self.betas[j] - self.alphas[j] for j in with_x),
+            tuple(self.betas[j] - self.alphas[j] for j in without_x),
         )
 
 

@@ -125,7 +125,7 @@ def test_criterion_4_aggregate_formula_equals_vector_oracle():
             continue
         table = web.count_table()
         try:
-            aggregate = mu_ab_interference(table, web.phase_assignment())
+            aggregate = mu_ab_interference(table, *web.phase_assignment())
         except DegenerateDenominator:
             continue
         direct = mu_combined(

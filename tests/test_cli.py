@@ -238,6 +238,14 @@ class TestFit:
         assert code == 0
         assert json.loads(out)["strategy"] == "convex_no_interference"
 
+    @pytest.mark.parametrize("target", ["0", "1e-323"])
+    def test_a_weight_ratio_that_overflows_is_fitted(self, capsys, target):
+        # at mu_a = 5e-324 the weight ratio mu_b / mu_a overflows to inf
+        argv = ["--json", "fit", "--mu-a", "5e-324", "--mu-b", "0.5", "--target", target]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["residual"] <= 1e-9
+
     def test_degenerate_measurement_exits_6(self, capsys):
         code, _, err = run(capsys, "fit", "--mu-a", "1.0", "--mu-b", "0.5", "--target", "0.5")
         assert code == 6
@@ -562,15 +570,23 @@ MALFORMED_INPUTS = {
     "count-json-text-too-long-to-parse": (["count", "{long_text}", "a", "b", "x"], 2),
     "count-json-line-cut-short": (["count", "{cut_short}", "a", "b", "x"], 2),
     "count-json-line-without-text": (["count", "{no_text}", "a", "b", "x"], 2),
+    "count-json-line-empty-id": (["count", "{empty_id}", "a", "b", "x"], 2),
+    "count-json-line-non-utf8-past-8-kib": (["count", "{late_byte}", "a", "b", "x"], 2),
+    "count-non-utf8-file-among-good-ones": (["count", "{mixed_dir}", "a", "b", "x"], 2),
 }
-# the corpus line that each malformed JSON-lines case names
-MALFORMED_LINE_NUMBERS = {
-    "count-json-line-not-object": 2,
-    "count-json-line-nested-too-deep-to-parse": 1,
-    "count-json-id-too-long-to-parse": 1,
-    "count-json-text-too-long-to-parse": 1,
-    "count-json-line-cut-short": 3,
-    "count-json-line-without-text": 3,
+# the corpus line or file that each malformed corpus case names
+MALFORMED_PLACES = {
+    "count-non-utf8-file": "line 1",
+    "count-non-utf8-directory": "doc.txt",
+    "count-json-line-not-object": "line 2",
+    "count-json-line-nested-too-deep-to-parse": "line 1",
+    "count-json-id-too-long-to-parse": "line 1",
+    "count-json-text-too-long-to-parse": "line 1",
+    "count-json-line-cut-short": "line 3",
+    "count-json-line-without-text": "line 3",
+    "count-json-line-empty-id": "line 3",
+    "count-json-line-non-utf8-past-8-kib": "line 3",
+    "count-non-utf8-file-among-good-ones": "b.txt",
 }
 
 
@@ -594,13 +610,23 @@ def test_malformed_input_exits_with_its_code_and_no_traceback(tmp_path, case):
     good = '{"id": "d1", "text": "a b"}\n{"id": "d2", "text": "b"}\n'
     (tmp_path / "cut_short.jsonl").write_text(good + '{"id": "d3", "text": \n', encoding="utf-8")
     (tmp_path / "no_text.jsonl").write_text(good + '{"id": "d3"}\n', encoding="utf-8")
+    (tmp_path / "empty_id.jsonl").write_text(good + '{"id": "", "text": "a"}\n', encoding="utf-8")
+    # line 2 outruns the reader's 8 KiB chunk, so line 3's bad byte is read with line 2's end
+    long_line = json.dumps({"id": "d2", "text": "a " * 4500}).encode("utf-8")
+    late_byte = b'{"id": "d1", "text": "a"}\n' + long_line + b'\n{"id": "d3", "text": "caf\xe9"}\n'
+    (tmp_path / "late_byte.jsonl").write_bytes(late_byte)
+    (tmp_path / "mixed_dir").mkdir()
+    (tmp_path / "mixed_dir" / "a.txt").write_text("apple", encoding="utf-8")
+    (tmp_path / "mixed_dir" / "b.txt").write_bytes(b"caf\xe9")
+    (tmp_path / "mixed_dir" / "c.txt").write_text("pear", encoding="utf-8")
     paths = {
         "table": tmp_path / "table.json", "binary": tmp_path / "binary.txt",
         "binary_dir": tmp_path / "binary_dir", "jsonl": tmp_path / "corpus.jsonl",
         "huge": tmp_path / "huge.json", "long_int": tmp_path / "long_int.json",
         "deep": tmp_path / "deep.json", "long_id": tmp_path / "long_id.jsonl",
         "long_text": tmp_path / "long_text.jsonl", "cut_short": tmp_path / "cut_short.jsonl",
-        "no_text": tmp_path / "no_text.jsonl",
+        "no_text": tmp_path / "no_text.jsonl", "empty_id": tmp_path / "empty_id.jsonl",
+        "late_byte": tmp_path / "late_byte.jsonl", "mixed_dir": tmp_path / "mixed_dir",
     }
     argv, expected = MALFORMED_INPUTS[case]
     argv = [arg.format(**paths) for arg in argv]
@@ -611,6 +637,5 @@ def test_malformed_input_exits_with_its_code_and_no_traceback(tmp_path, case):
     assert done.returncode == expected
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith(argv[0] + ": ") and done.stderr.count("\n") == 1
-    if case in MALFORMED_LINE_NUMBERS:
-        line = MALFORMED_LINE_NUMBERS[case]
-        assert done.stderr.startswith(f"count: malformed corpus file: line {line}: ")
+    if case in MALFORMED_PLACES:
+        assert done.stderr.startswith(f"count: malformed corpus file: {MALFORMED_PLACES[case]}: ")

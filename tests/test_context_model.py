@@ -307,6 +307,14 @@ class TestFitParams:
         assert fit_params(mu_a, mu_b, low).strategy is FitStrategy.UNDEREXTENSION_BRANCH
         assert fit_params(mu_a, mu_b, high).strategy is FitStrategy.OVEREXTENSION_BRANCH
 
+    @pytest.mark.parametrize("target", [0.0, 1e-323, 5e-324])
+    def test_a_weight_ratio_that_overflows_keeps_both_weights(self, target):
+        # mu_b / mu_a overflows to inf, and 1 / inf would make p_b zero
+        result, mirrored = fit_params(5e-324, 0.5, target), fit_params(0.5, 5e-324, target)
+        assert result.residual <= 1e-9 and mirrored.residual <= 1e-9
+        assert (result.params.p_a, result.params.p_b) == (mirrored.params.p_b, mirrored.params.p_a)
+        assert result.params.p_a == 1.0 and 0.0 < result.params.p_b < 1e-300
+
     @pytest.mark.parametrize("mu", [1e-12, 0.0522, 0.3, 0.5, 1.0 - 1e-12])
     def test_equal_measurements_and_target_need_nothing_but_equal_weights(self, mu):
         result = fit_params(mu, mu, mu)

@@ -13,7 +13,6 @@ from qocc.corpus import (
     CountTable,
     Document,
     ThreeTermCounts,
-    TokenizerConfig,
     count_corpus,
     document_from_text,
     load_corpus,
@@ -30,7 +29,6 @@ from conftest import brute_force_cells
 # more than one character (dotted capital I), or are letters, digits or
 # neither outside ASCII
 TOKENIZER_ALPHABET = [chr(c) for c in range(128)] + ["\u212a", "\u0130", "\u00df", "\u00b2", "\u00c4"]
-STEMMED = TokenizerConfig(stemmer=lambda tok: tok.rstrip("s"))
 
 
 class TestTokenize:
@@ -49,9 +47,6 @@ class TestTokenize:
     def test_unicode_words_survive(self):
         assert tokenize("Äpfel über alles") == ["äpfel", "über", "alles"]
 
-    def test_stemmer_hook(self):
-        assert tokenize("fruits stems", STEMMED) == ["fruit", "stem"]
-
     def test_ascii_fast_path_equals_the_regex(self):
         """tokenize splits lowered ASCII text without the regex; both branches agree."""
         branches = set()
@@ -65,9 +60,7 @@ class TestTokenize:
         def check(text):
             lowered = text.lower()
             branches.add(lowered.isascii())
-            expected = _WORD_RE.findall(lowered)
-            assert tokenize(text) == expected
-            assert tokenize(text, STEMMED) == [STEMMED.stemmer(tok) for tok in expected]
+            assert tokenize(text) == _WORD_RE.findall(lowered)
 
         check()
         assert branches == {True, False}
@@ -80,6 +73,13 @@ class TestDocument:
         assert hash(doc) == hash(("1", ("a", "b", "a")))
         assert "terms" not in repr(doc)
         assert doc.terms == frozenset({"a", "b"})
+
+    @pytest.mark.parametrize("tokens", ["apple pie", np.str_("apple pie")], ids=["str", "numpy-str"])
+    def test_rejects_one_str_as_its_tokens(self, tokens):
+        # a str is a sequence of characters: each would count as a word
+        message = "document tokens must be a sequence of words, not one str"
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            Document("d", tokens)
 
     def test_numpy_string_tokens_count(self):
         docs = [Document("1", (np.str_("a"), np.str_("x"))), Document("2", np.array(["b"]))]
@@ -432,8 +432,9 @@ class TestLoadCorpus:
             ('{"id": "d3"}', "missing key 'text'"),
             ("[1, 2]", "expected a JSON object, got list"),
             ('{"id": 1%s, "text": "a"}' % ("0" * 5000), "Exceeds the limit"),
+            ('{"id": "", "text": "a"}', "document id must be nonempty"),
         ],
-        ids=["cut-short", "missing-key", "not-an-object", "int-too-long"],
+        ids=["cut-short", "missing-key", "not-an-object", "int-too-long", "empty-id"],
     )
     def test_json_lines_errors_name_their_line(self, tmp_path, line, message):
         # line 2 is blank, and still counted
@@ -441,6 +442,42 @@ class TestLoadCorpus:
         path.write_text('{"id": "d1", "text": "a"}\n\n' + line + "\n", encoding="utf-8")
         with pytest.raises(InvalidInput, match=f"^line 3: {re.escape(message)}"):
             load_corpus(path)
+
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+        # line 2 outruns the reader's 8 KiB chunk, so line 3's bad byte is read with line 2's end
+        long_line = json.dumps({"id": "d2", "text": "a " * 4500}).encode("utf-8")
+        path = tmp_path / "corpus.jsonl"
+        bad_line = b' {"id": "d3", "text": "caf\xe9"}'  # the position counts the leading space
+        path.write_bytes(b'{"id": "d1", "text": "a"}\n' + long_line + b"\n" + bad_line + b"\n")
+        message = "line 3: 'utf-8' codec can't decode byte 0xe9 in position 26: invalid continuation byte"
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            load_corpus(path)
+
+    def test_a_file_that_is_not_utf8_names_itself(self, tmp_path):
+        (tmp_path / "a.txt").write_text("apple", encoding="utf-8")
+        (tmp_path / "b.txt").write_bytes(b"caf\xe9 apple")
+        message = "b.txt: 'utf-8' codec can't decode byte 0xe9 in position 3: invalid continuation byte"
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            load_corpus(tmp_path)
+
+    @given(
+        texts=st.lists(st.text(alphabet=TOKENIZER_ALPHABET, max_size=30), max_size=8),
+        ascii_lines=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_the_two_readers_agree(self, tmp_path_factory, texts, ascii_lines):
+        """The same texts as a directory of files and as JSON lines give the same documents."""
+        root = tmp_path_factory.mktemp("corpus")
+        folder, path = root / "docs", root / "corpus.jsonl"
+        folder.mkdir()
+        names = [f"{i:03d}.txt" for i in range(len(texts))]
+        for name, text in zip(names, texts):
+            (folder / name).write_bytes(text.encode("utf-8"))
+        lines = [json.dumps({"id": n, "text": t}, ensure_ascii=ascii_lines) for n, t in zip(names, texts)]
+        path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+        from_files = [(doc.id, doc.tokens) for doc in load_corpus(folder)]
+        assert from_files == [(doc.id, doc.tokens) for doc in load_corpus(path)]
+        assert from_files == [(name, tuple(tokenize(text))) for name, text in zip(names, texts)]
 
     def test_equal_tokens_share_one_string(self, tmp_path):
         texts = ["Apple pie, apple!", "pie and APPLE", "\u00c4pfel apple \u00e4pfel"]

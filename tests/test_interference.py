@@ -17,7 +17,6 @@ from qocc.interference import (
     FEASIBILITY_SLACK,
     ExtensionClass,
     InterferenceInterval,
-    PhaseAssignment,
     classify_extension,
     fits_interference_only,
     interference_interval,
@@ -42,25 +41,19 @@ RECOMPUTED_INTERVALS = {
 }
 
 
-def right_angles(table: CountTable) -> PhaseAssignment:
-    return PhaseAssignment(
-        deltas_x=(math.pi / 2.0,) * table.n_abx,
-        deltas_x_prime=(math.pi / 2.0,) * table.n_abx_prime,
-    )
+def right_angles(table: CountTable) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    return (math.pi / 2.0,) * table.n_abx, (math.pi / 2.0,) * table.n_abx_prime
 
 
-def extremal_phases(table: CountTable, top: bool) -> PhaseAssignment:
+def extremal_phases(table: CountTable, top: bool) -> tuple[tuple[float, ...], tuple[float, ...]]:
     aligned, opposed = (0.0, math.pi) if top else (math.pi, 0.0)
-    return PhaseAssignment(
-        deltas_x=(aligned,) * table.n_abx,
-        deltas_x_prime=(opposed,) * table.n_abx_prime,
-    )
+    return (aligned,) * table.n_abx, (opposed,) * table.n_abx_prime
 
 
 class TestMuAbInterference:
     def test_right_angle_phases_leave_the_plain_average(self):
         table = CountTable(n_a=10, n_b=20, n_ab=5, n_ax=4, n_bx=6, n_abx=2)
-        value = mu_ab_interference(table, right_angles(table))
+        value = mu_ab_interference(table, *right_angles(table))
         assert value == pytest.approx(0.5 * (4 / 10 + 6 / 20), abs=1e-12)
 
     def test_apple_fully_aligned_reaches_the_maximum(self):
@@ -78,11 +71,11 @@ class TestMuAbInterference:
             table = web.count_table()
             if table.n_a == 0 or table.n_b == 0:
                 continue
-            phases = web.phase_assignment()
-            k_x = sum(math.cos(d) for d in phases.deltas_x)
-            k_xp = sum(math.cos(d) for d in phases.deltas_x_prime)
+            deltas_x, deltas_x_prime = web.phase_assignment()
+            k_x = sum(math.cos(d) for d in deltas_x)
+            k_xp = sum(math.cos(d) for d in deltas_x_prime)
             try:
-                from_lists = mu_ab_interference(table, phases)
+                from_lists = mu_ab_interference(table, deltas_x, deltas_x_prime)
             except DegenerateDenominator:
                 continue
             assert from_lists == pytest.approx(
@@ -97,7 +90,7 @@ class TestMuAbInterference:
                 continue
             table = web.count_table()
             try:
-                aggregate = mu_ab_interference(table, web.phase_assignment())
+                aggregate = mu_ab_interference(table, *web.phase_assignment())
             except DegenerateDenominator:
                 continue
             direct = mu_combined(
@@ -109,10 +102,10 @@ class TestMuAbInterference:
     def test_rejects_wrong_phase_list_lengths(self):
         table = CountTable(n_a=10, n_b=10, n_ab=4, n_ax=4, n_bx=4, n_abx=2)
         with pytest.raises(InvalidInput):
-            mu_ab_interference(table, PhaseAssignment(deltas_x=(0.0,), deltas_x_prime=()))
+            mu_ab_interference(table, deltas_x=(0.0,), deltas_x_prime=())
         message = "need 2 phase differences for the abx' pages, got 3"
         with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
-            mu_ab_interference(table, PhaseAssignment(deltas_x=(0.0, 0.0), deltas_x_prime=(0.0,) * 3))
+            mu_ab_interference(table, deltas_x=(0.0, 0.0), deltas_x_prime=(0.0,) * 3)
 
     def test_rejects_cosine_sum_outside_range(self):
         table = CountTable(n_a=10, n_b=10, n_ab=4, n_ax=4, n_bx=4, n_abx=2)
@@ -124,11 +117,8 @@ class TestMuAbInterference:
     def test_degenerate_normalization_raises(self):
         # a == b page-for-page with fully opposed phases cancels the state sum
         table = CountTable(n_a=4, n_b=4, n_ab=4, n_ax=2, n_bx=2, n_abx=2)
-        phases = PhaseAssignment(
-            deltas_x=(math.pi,) * 2, deltas_x_prime=(math.pi,) * 2
-        )
         with pytest.raises(DegenerateDenominator):
-            mu_ab_interference(table, phases)
+            mu_ab_interference(table, (math.pi,) * 2, (math.pi,) * 2)
 
     @pytest.mark.parametrize(
         "k_x, k_x_prime",
@@ -169,8 +159,8 @@ class TestInterferenceInterval:
                 interval = interference_interval(table)
             except DegenerateDenominator:
                 continue
-            top = mu_ab_interference(table, extremal_phases(table, top=True))
-            bottom = mu_ab_interference(table, extremal_phases(table, top=False))
+            top = mu_ab_interference(table, *extremal_phases(table, top=True))
+            bottom = mu_ab_interference(table, *extremal_phases(table, top=False))
             assert top == pytest.approx(interval.raw_hi, abs=1e-12)
             assert bottom == pytest.approx(interval.raw_lo, abs=1e-12)
 

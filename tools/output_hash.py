@@ -110,11 +110,33 @@ def json_lines(rng: random.Random) -> list[str]:
     return lines
 
 
-def read_lines(qocc, lines: list[str]) -> list[tuple[str, tuple[str, ...]]]:
-    """(id, tokens) per document of load_corpus on the lines, written to a temporary file."""
+def bad_corpus(rng: random.Random) -> tuple[str, list[bytes]]:
+    """A JSON-lines file's lines or a directory's files, some with an empty id or a raw 0xE9 byte."""
+    kind, parts = rng.choice(("jsonl", "dir")), []
+    for i in range(rng.randint(0, 6)):
+        draw, body = rng.random(), text(rng)
+        if kind == "jsonl":
+            record = {"id": "" if draw < 0.1 else f"d{i}", "text": body}
+            part = json.dumps(record, ensure_ascii=rng.random() < 0.5).encode("utf-8")
+        else:
+            part = body.encode("utf-8")
+        if draw > 0.85:
+            at = rng.randint(0, len(part))
+            part = part[:at] + b"\xe9" + part[at:]
+        parts.append(part)
+    return kind, parts
+
+
+def read_corpus(qocc, kind: str, parts: list[bytes]) -> list[tuple[str, tuple[str, ...]]]:
+    """(id, tokens) per document of load_corpus on parts, written as JSON lines or one file each."""
     with tempfile.TemporaryDirectory() as folder:
-        path = Path(folder) / "corpus.jsonl"
-        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        path = Path(folder)
+        if kind == "jsonl":
+            path = path / "corpus.jsonl"
+            path.write_bytes(b"".join(part + b"\n" for part in parts))
+        else:
+            for i, part in enumerate(parts):
+                (path / f"d{i}.txt").write_bytes(part)
         return [(doc.id, doc.tokens) for doc in qocc.load_corpus(path)]
 
 
@@ -154,7 +176,11 @@ def cases(qocc, canonical_json) -> dict:
     table = qocc.CountTable
     return {
         "tokenize": (lambda r: (text(r),), qocc.tokenize),
-        "load_corpus": (lambda r: (json_lines(r),), lambda lines: read_lines(qocc, lines)),
+        "load_corpus": (
+            lambda r: (json_lines(r),),
+            lambda lines: read_corpus(qocc, "jsonl", [line.encode("utf-8") for line in lines]),
+        ),
+        "load_corpus_errors": (bad_corpus, lambda kind, parts: read_corpus(qocc, kind, parts)),
         "count_corpus": (
             corpus,
             lambda docs, terms: qocc.count_corpus(
@@ -182,9 +208,7 @@ def cases(qocc, canonical_json) -> dict:
         ),
         "mu_ab_interference": (
             phases,
-            lambda data, deltas_x, deltas_x_prime: qocc.mu_ab_interference(
-                table(**data), qocc.PhaseAssignment(deltas_x, deltas_x_prime)
-            ),
+            lambda data, *deltas: qocc.mu_ab_interference(table(**data), *deltas),
         ),
         "classify_extension": (units(3), lambda *args: qocc.classify_extension(*args).value),
         "build_report": (

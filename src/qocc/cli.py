@@ -23,7 +23,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import fixtures
 from .context_model import fit_params, fit_params_constrained, context_interval
 from .corpus import CountTable, count_corpus, load_corpus, marginals, probabilities, tokenize
 from .errors import InvalidCounts, InvalidInput, QoccError
@@ -170,6 +169,8 @@ def cmd_fit(args: argparse.Namespace) -> None:
 
 
 def cmd_table1(args: argparse.Namespace) -> None:
+    from . import fixtures  # only table1 reads the bundled dataset
+
     header = ("exemplar", "mu_a", "mu_b", "mu_ab", "mu_min", "mu_max")
     payload, lines, deviations = [], [header], []
     for row in fixtures.ROWS:

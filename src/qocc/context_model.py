@@ -40,9 +40,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
-from .corpus import _check_probability
+from .corpus import _check_probability, _Record
 from .errors import InvalidInput, UnreachableTarget
 from .interference import InterferenceInterval, _model_ratio
 
@@ -66,33 +65,37 @@ def _check_weights_and_moduli(p_a: float, p_b: float, c: float, c_prime: float) 
             raise InvalidInput(f"{name}={value!r} must be in [0, 1]")
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(_Record):
     """Model parameters; weights in (0, 1], moduli in [0, 1], angles in [0, 2*pi)."""
 
-    p_a: float
-    p_b: float
-    c: float
-    c_prime: float
-    phi: float
-    phi_prime: float
+    _fields = ("p_a", "p_b", "c", "c_prime", "phi", "phi_prime")
 
-    def __post_init__(self) -> None:
-        _check_weights_and_moduli(self.p_a, self.p_b, self.c, self.c_prime)
-        if not (math.isfinite(self.phi) and math.isfinite(self.phi_prime)):
-            raise InvalidInput(f"phi={self.phi!r} and phi_prime={self.phi_prime!r} must be finite")
-        object.__setattr__(self, "phi", self.phi % TWO_PI)
-        object.__setattr__(self, "phi_prime", self.phi_prime % TWO_PI)
+    def __init__(
+        self, p_a: float, p_b: float, c: float, c_prime: float, phi: float, phi_prime: float
+    ) -> None:
+        _check_weights_and_moduli(p_a, p_b, c, c_prime)
+        if not (math.isfinite(phi) and math.isfinite(phi_prime)):
+            raise InvalidInput(f"phi={phi!r} and phi_prime={phi_prime!r} must be finite")
+        params = self.__dict__
+        params["p_a"] = p_a
+        params["p_b"] = p_b
+        params["c"] = c
+        params["c_prime"] = c_prime
+        params["phi"] = phi % TWO_PI
+        params["phi_prime"] = phi_prime % TWO_PI
 
     def as_dict(self) -> dict[str, float]:
         return self.__dict__.copy()
 
 
-@dataclass(frozen=True)
-class FitResult:
-    params: ModelParams
-    residual: float
-    strategy: FitStrategy
+class FitResult(_Record):
+    _fields = ("params", "residual", "strategy")
+
+    def __init__(self, params: ModelParams, residual: float, strategy: FitStrategy) -> None:
+        result = self.__dict__
+        result["params"] = params
+        result["residual"] = residual
+        result["strategy"] = strategy
 
     def as_dict(self) -> dict:
         return {**self.params.as_dict(), "residual": self.residual, "strategy": self.strategy.value}

@@ -12,7 +12,6 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -35,24 +34,59 @@ def tokenize(raw_text: str) -> list[str]:
     return _WORD_RE.findall(lowered)
 
 
-@dataclass(frozen=True)
-class Document:
+class _Record:
+    """Base of the package's frozen records, with a frozen dataclass's behaviour.
+
+    Each record lists its fields in ``_fields`` and stores them in ``__dict__``
+    in that order; equality, hash and repr read that tuple.  Each record writes
+    its own ``__init__`` with one ``__dict__`` store per field, which costs
+    less than a generic ``__init__`` or the dataclass's ``object.__setattr__``
+    calls; ``import dataclasses`` alone would load ``inspect`` at every
+    cold start.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Document(_Record):
     """A document's tokens in order, and ``terms``, the set of words it contains.
 
     ``terms`` is built once here, so that every probe counted against the
-    document tests presence without rebuilding it.
+    document tests presence without rebuilding it; it is left out of
+    equality, hash and repr.
     """
 
-    id: str
-    tokens: tuple[str, ...]
-    terms: frozenset[str] = field(init=False, repr=False, compare=False)
+    _fields = ("id", "tokens")
 
-    def __post_init__(self) -> None:
-        if not self.id:
-            raise InvalidCounts("document id must be nonempty")
-        if isinstance(self.tokens, str):
+    def __init__(self, id: str, tokens: Iterable[str]) -> None:
+        if not id:
+            raise InvalidInput("document id must be nonempty")
+        if isinstance(tokens, str):
             raise InvalidInput("document tokens must be a sequence of words, not one str")
-        tokens = tuple(self.tokens)
+        tokens = tuple(tokens)
+        # not through self.__dict__: reading it would give every document a dict of its own
+        object.__setattr__(self, "id", id)
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "terms", frozenset(tokens))
 
@@ -80,8 +114,9 @@ def load_corpus(path: str | Path) -> list[Document]:
 
     Directory: every regular file is one document, id = file name, in name
     order; a file that is not UTF-8 raises InvalidInput naming the file.
-    JSON lines: one {"id": ..., "text": ...} object per line; a line that is
-    not such an object, or not UTF-8, raises InvalidInput naming its number.
+    JSON lines: one {"id": ..., "text": ...} object of two strings per line; a
+    line that is not such an object, or not UTF-8, raises InvalidInput naming
+    its number.
     Equal tokens share one string object across the whole corpus.
     """
     shared: dict[str, str] = {}
@@ -117,7 +152,12 @@ def load_corpus(path: str | Path) -> list[Document]:
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise InvalidInput(f"expected a JSON object, got {type(record).__name__}")
-                docs.append(document(str(record["id"]), str(record["text"])))
+                doc_id, text = record["id"], record["text"]
+                if type(doc_id) is not str:
+                    raise InvalidInput(f"id must be a string, got {type(doc_id).__name__}")
+                if type(text) is not str:
+                    raise InvalidInput(f"text must be a string, got {type(text).__name__}")
+                docs.append(document(doc_id, text))
             except KeyError as exc:
                 raise InvalidInput(f"line {line_no}: missing key {exc}") from exc
             except (ValueError, RecursionError, QoccError) as exc:
@@ -148,25 +188,29 @@ def _check_count(name: str, value: int) -> None:
         raise InvalidCounts(f"{name} exceeds 2**53, above which counts are not exact as floats")
 
 
-@dataclass(frozen=True)
-class ThreeTermCounts:
+class ThreeTermCounts(_Record):
     """The eight disjoint cells of a three-word presence pattern.
 
     Field ``n<a><b><x>`` counts documents where digit 1 means the word is
     present and 0 absent, in the order (a, b, x): n101 is "a and x but not b".
     """
 
-    n111: int = 0
-    n110: int = 0
-    n101: int = 0
-    n100: int = 0
-    n011: int = 0
-    n010: int = 0
-    n001: int = 0
-    n000: int = 0
+    _fields = ("n111", "n110", "n101", "n100", "n011", "n010", "n001", "n000")
 
-    def __post_init__(self) -> None:
-        for name, value in self.__dict__.items():
+    def __init__(
+        self, n111: int = 0, n110: int = 0, n101: int = 0, n100: int = 0,
+        n011: int = 0, n010: int = 0, n001: int = 0, n000: int = 0,
+    ) -> None:
+        cells = self.__dict__
+        cells["n111"] = n111
+        cells["n110"] = n110
+        cells["n101"] = n101
+        cells["n100"] = n100
+        cells["n011"] = n011
+        cells["n010"] = n010
+        cells["n001"] = n001
+        cells["n000"] = n000
+        for name, value in cells.items():
             _check_count(f"cell {name}", value)
 
     def as_dict(self) -> dict[str, int]:
@@ -191,8 +235,7 @@ def count_corpus(documents: Iterable[Document], a: str, b: str, x: str) -> Three
     return ThreeTermCounts(*reversed(tally))
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(_Record):
     """Marginal page counts for words a, b, x and their co-occurrences.
 
     Structural invariants enforced here are the ones every formula in the
@@ -202,15 +245,17 @@ class CountTable:
     enforced, because externally measured search counts routinely violate it.
     """
 
-    n_a: int
-    n_b: int
-    n_ab: int
-    n_ax: int
-    n_bx: int
-    n_abx: int
+    _fields = ("n_a", "n_b", "n_ab", "n_ax", "n_bx", "n_abx")
 
-    def __post_init__(self) -> None:
-        for name, value in self.__dict__.items():
+    def __init__(self, n_a: int, n_b: int, n_ab: int, n_ax: int, n_bx: int, n_abx: int) -> None:
+        cells = self.__dict__
+        cells["n_a"] = n_a
+        cells["n_b"] = n_b
+        cells["n_ab"] = n_ab
+        cells["n_ax"] = n_ax
+        cells["n_bx"] = n_bx
+        cells["n_abx"] = n_abx
+        for name, value in cells.items():
             _check_count(name, value)
         if self.n_ab > min(self.n_a, self.n_b):
             raise InvalidCounts(f"n_ab={self.n_ab} exceeds min(n_a, n_b)")
@@ -249,7 +294,7 @@ class CountTable:
         if not isinstance(data, dict):
             raise InvalidCounts(f"count-table JSON must be an object, got {type(data).__name__}")
         values = {}
-        for key in cls.__dataclass_fields__:
+        for key in cls._fields:
             if key not in data:
                 raise InvalidCounts(f"count-table JSON is missing key {key!r}")
             value = data[key]
@@ -269,13 +314,16 @@ def marginals(counts: ThreeTermCounts) -> CountTable:
     )
 
 
-@dataclass(frozen=True)
-class ProbabilityTriple:
+class ProbabilityTriple(_Record):
     """mu_a = n_ax/n_a, mu_b = n_bx/n_b, and the observed n_abx/n_ab."""
 
-    mu_a: float
-    mu_b: float
-    mu_ab_observed: float
+    _fields = ("mu_a", "mu_b", "mu_ab_observed")
+
+    def __init__(self, mu_a: float, mu_b: float, mu_ab_observed: float) -> None:
+        ratios = self.__dict__
+        ratios["mu_a"] = mu_a
+        ratios["mu_b"] = mu_b
+        ratios["mu_ab_observed"] = mu_ab_observed
 
 
 def probabilities(table: CountTable) -> ProbabilityTriple:

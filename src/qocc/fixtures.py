@@ -20,25 +20,28 @@ than patched over:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .corpus import CountTable, table_from_ratios
+from .corpus import CountTable, _Record, table_from_ratios
 
 TOTAL_A = 378_000_000
 TOTAL_B = 357_000_000
 TOTAL_AB = 115_000_000
 
 
-@dataclass(frozen=True)
-class ExemplarRow:
+class ExemplarRow(_Record):
     """One probe word: measured ratios plus reported interval endpoints."""
 
-    name: str
-    mu_a: float
-    mu_b: float
-    mu_ab: float
-    reported_lo: float
-    reported_hi: float
+    _fields = ("name", "mu_a", "mu_b", "mu_ab", "reported_lo", "reported_hi")
+
+    def __init__(
+        self, name: str, mu_a: float, mu_b: float, mu_ab: float, reported_lo: float, reported_hi: float
+    ) -> None:
+        row = self.__dict__
+        row["name"] = name
+        row["mu_a"] = mu_a
+        row["mu_b"] = mu_b
+        row["mu_ab"] = mu_ab
+        row["reported_lo"] = reported_lo
+        row["reported_hi"] = reported_hi
 
 
 ROWS: tuple[ExemplarRow, ...] = (
@@ -59,17 +62,23 @@ EXEMPLAR_NAMES: tuple[str, ...] = tuple(row.name for row in ROWS)
 INTERFERENCE_FEASIBLE: frozenset[str] = frozenset({"apple", "parsley", "yam", "elderberry"})
 
 
-@dataclass(frozen=True)
-class ContextExample:
+class ContextExample(_Record):
     """A pinned-parameter interval reported alongside the dataset."""
 
-    name: str
-    p_a: float
-    p_b: float
-    c: float
-    c_prime: float
-    reported_lo: float
-    reported_hi: float
+    _fields = ("name", "p_a", "p_b", "c", "c_prime", "reported_lo", "reported_hi")
+
+    def __init__(
+        self, name: str, p_a: float, p_b: float, c: float, c_prime: float,
+        reported_lo: float, reported_hi: float,
+    ) -> None:
+        example = self.__dict__
+        example["name"] = name
+        example["p_a"] = p_a
+        example["p_b"] = p_b
+        example["c"] = c
+        example["c_prime"] = c_prime
+        example["reported_lo"] = reported_lo
+        example["reported_hi"] = reported_hi
 
 
 CONTEXT_EXAMPLES: tuple[ContextExample, ...] = (

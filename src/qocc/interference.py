@@ -24,9 +24,8 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
-from .corpus import CountTable, _check_probability
+from .corpus import CountTable, _check_probability, _Record
 from .errors import DegenerateDenominator, InvalidInput, ZeroDenominator
 
 DENOMINATOR_TOL = 1e-12
@@ -34,8 +33,7 @@ BOUNDARY_TOL = 1e-12
 FEASIBILITY_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class InterferenceInterval:
+class InterferenceInterval(_Record):
     """Admissible combined-concept probabilities, clamped to [0, 1].
 
     ``raw_lo`` and ``raw_hi`` keep the unclamped ratios for diagnostics;
@@ -43,10 +41,14 @@ class InterferenceInterval:
     marginally outside [0, 1].
     """
 
-    lo: float
-    hi: float
-    raw_lo: float
-    raw_hi: float
+    _fields = ("lo", "hi", "raw_lo", "raw_hi")
+
+    def __init__(self, lo: float, hi: float, raw_lo: float, raw_hi: float) -> None:
+        bounds = self.__dict__
+        bounds["lo"] = lo
+        bounds["hi"] = hi
+        bounds["raw_lo"] = raw_lo
+        bounds["raw_hi"] = raw_hi
 
     def contains(self, value: float, slack: float = FEASIBILITY_SLACK) -> bool:
         return self.lo - slack <= value <= self.hi + slack

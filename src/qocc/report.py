@@ -1,10 +1,8 @@
 """Full per-table analysis: probabilities, classification, intervals, fit."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .context_model import FitResult, fit_params
-from .corpus import CountTable, ProbabilityTriple, probabilities
+from .corpus import CountTable, ProbabilityTriple, _Record, probabilities
 from .interference import (
     ExtensionClass,
     InterferenceInterval,
@@ -14,17 +12,27 @@ from .interference import (
 )
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(_Record):
     """Everything the pipeline derives from one count table."""
 
-    table: CountTable
-    triple: ProbabilityTriple
-    extension: ExtensionClass
-    interference: InterferenceInterval
-    interference_only_feasible: bool
-    context_only_feasible: bool
-    fit: FitResult
+    _fields = (
+        "table", "triple", "extension", "interference",
+        "interference_only_feasible", "context_only_feasible", "fit",
+    )
+
+    def __init__(
+        self, table: CountTable, triple: ProbabilityTriple, extension: ExtensionClass,
+        interference: InterferenceInterval, interference_only_feasible: bool,
+        context_only_feasible: bool, fit: FitResult,
+    ) -> None:
+        report = self.__dict__
+        report["table"] = table
+        report["triple"] = triple
+        report["extension"] = extension
+        report["interference"] = interference
+        report["interference_only_feasible"] = interference_only_feasible
+        report["context_only_feasible"] = context_only_feasible
+        report["fit"] = fit
 
     def as_dict(self) -> dict:
         return {

@@ -353,23 +353,28 @@ CORPUS_TEXT = st.lists(
     st.sampled_from(["apple", "Pear", "STONE", "fig", "caf\u00e9", "42", "x_y", "-", "\t", "\n"]),
     max_size=8,
 ).map(" ".join)
-# JSON values for a document's id or text: every JSON type but the object
-DOCUMENT_VALUES = st.one_of(
-    st.text("dx0 ", min_size=1, max_size=3),
+# JSON values for a document's id or text: a short string, or any other JSON
+# type but the object
+STRING_VALUES = st.text("dx0 ", min_size=1, max_size=3)
+NON_STRING_VALUES = st.one_of(
     st.integers(),
     st.floats(allow_nan=True, allow_infinity=True),
     st.booleans(),
     st.none(),
     st.lists(st.integers(0, 9), max_size=3),
 )
+DOCUMENT_VALUES = STRING_VALUES | NON_STRING_VALUES
 DOCUMENT_LINES = st.fixed_dictionaries(
-    {"id": DOCUMENT_VALUES, "text": CORPUS_TEXT | DOCUMENT_VALUES}
+    {"id": STRING_VALUES, "text": CORPUS_TEXT | STRING_VALUES}
 ).map(lambda record: json.dumps(record).encode("utf-8"))
 BLANK_LINES = st.sampled_from([b"", b"   ", b"\t"])
-# a line that makes the corpus unreadable: an empty id, one key missing, a
-# JSON value that is not an object, broken JSON, or bytes that are not UTF-8
+# a line that makes the corpus unreadable: an empty id, an id or text that is
+# not a string, one key missing, a JSON value that is not an object, broken
+# JSON, or bytes that are not UTF-8
 MALFORMED_LINES = st.one_of(
     CORPUS_TEXT.map(lambda text: {"id": "", "text": text}),
+    st.fixed_dictionaries({"id": NON_STRING_VALUES, "text": CORPUS_TEXT}),
+    st.fixed_dictionaries({"id": STRING_VALUES, "text": NON_STRING_VALUES}),
     st.sampled_from(["id", "text"]).flatmap(lambda key: DOCUMENT_VALUES.map(lambda value: {key: value})),
     DOCUMENT_VALUES,
 ).map(lambda value: json.dumps(value).encode("utf-8")) | st.sampled_from(

@@ -433,8 +433,16 @@ class TestLoadCorpus:
             ("[1, 2]", "expected a JSON object, got list"),
             ('{"id": 1%s, "text": "a"}' % ("0" * 5000), "Exceeds the limit"),
             ('{"id": "", "text": "a"}', "document id must be nonempty"),
+            ('{"id": null, "text": "apple"}', "id must be a string, got NoneType"),
+            ('{"id": false, "text": "pear"}', "id must be a string, got bool"),
+            ('{"id": 7, "text": "plum"}', "id must be a string, got int"),
+            ('{"id": "d", "text": null}', "text must be a string, got NoneType"),
+            ('{"id": "e", "text": 12}', "text must be a string, got int"),
         ],
-        ids=["cut-short", "missing-key", "not-an-object", "int-too-long", "empty-id"],
+        ids=[
+            "cut-short", "missing-key", "not-an-object", "int-too-long", "empty-id",
+            "null-id", "false-id", "int-id", "null-text", "int-text",
+        ],
     )
     def test_json_lines_errors_name_their_line(self, tmp_path, line, message):
         # line 2 is blank, and still counted
@@ -499,5 +507,5 @@ class TestLoadCorpus:
                 assert all(tok is same[0] for doc in docs for tok in doc.terms if tok == word)
 
     def test_document_rejects_empty_id(self):
-        with pytest.raises(InvalidCounts):
+        with pytest.raises(InvalidInput, match="^document id must be nonempty$"):
             document_from_text("", "anything")

@@ -1,13 +1,18 @@
-"""The library and CLI run without numpy; only the oracle ``qocc.hilbert`` needs it."""
+"""The library and CLI run without numpy; only the oracle ``qocc.hilbert`` needs it.
+
+The CLI's cold import also leaves out ``dataclasses`` and the bundled dataset.
+"""
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import qocc
 from qocc.cli import canonical_json
-from qocc.fixtures import exemplar_table
+from qocc.fixtures import EXEMPLAR_NAMES, exemplar_table
 
 # Runs qocc.cli.main on each argv in-process, with numpy importable or not,
 # and prints [exit code, stdout] per argv as JSON.
@@ -37,6 +42,28 @@ def run_python(*args: str) -> str:
 def test_import_leaves_numpy_unloaded():
     out = run_python("-c", "import sys, qocc, qocc.cli; print('numpy' in sys.modules)")
     assert out == "False\n"
+
+
+# Imports qocc.cli, prints whether the module in argv[1] was loaded, then runs
+# table1 and prints its exit code and stdout as JSON.
+COLD_IMPORT = """
+import contextlib, io, json, sys
+import qocc.cli
+print(sys.argv[1] in sys.modules)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = qocc.cli.main(["table1"])
+print(json.dumps([code, out.getvalue()]))
+"""
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "inspect", "qocc.fixtures"])
+def test_cli_import_leaves_module_unloaded(module):
+    loaded, table1 = run_python("-c", COLD_IMPORT, module).splitlines()
+    assert loaded == "False"
+    code, out = json.loads(table1)
+    assert code == 5
+    assert [line.split()[0] for line in out.splitlines()] == ["exemplar", *EXEMPLAR_NAMES]
 
 
 def test_cli_output_is_the_same_with_numpy_blocked(tmp_path):

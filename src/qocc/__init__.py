@@ -20,6 +20,7 @@ from .context_model import (
     mu_ab_full,
 )
 from .corpus import (
+    Corpus,
     CountTable,
     Document,
     ProbabilityTriple,
@@ -56,6 +57,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",
+    "Corpus",
     "CountTable",
     "DegenerateDenominator",
     "Document",

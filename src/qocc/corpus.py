@@ -72,9 +72,9 @@ class _Record:
 class Document(_Record):
     """A document's tokens in order, and ``terms``, the set of words it contains.
 
-    ``terms`` is built once here, so that every probe counted against the
-    document tests presence without rebuilding it; it is left out of
-    equality, hash and repr.
+    ``terms`` is built once here, so that a presence bitmap of ``Corpus``
+    tests each document without rebuilding it; it is left out of equality,
+    hash and repr.
     """
 
     _fields = ("id", "tokens")
@@ -95,6 +95,37 @@ def document_from_text(doc_id: str, text: str) -> Document:
     return Document(doc_id, tuple(tokenize(text)))
 
 
+# presence flags 0/1 to the ASCII digits that int(..., 2) reads
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+class Corpus(tuple):
+    """An immutable sequence of ``Document``s that counts any probe from bitmaps.
+
+    The bitmap of a term is one int with one bit per document, set where the
+    document contains the term.  It is built in one pass over the documents'
+    ``terms``, listed once here, the first time the term is counted, then
+    kept: n/8 bytes for each distinct term counted on this corpus, never
+    evicted.  The tuple and its documents are immutable, so a kept bitmap
+    cannot go stale.
+    """
+
+    def __init__(self, documents: Iterable[Document] = ()) -> None:
+        self._terms = [doc.terms for doc in self]
+        self._bitmaps: dict[str, int] = {}
+
+    def __reduce__(self):
+        return self.__class__, (tuple(self),)
+
+    def _bitmap(self, term: str) -> int:
+        bits = self._bitmaps.get(term)
+        if bits is None:
+            flags = bytes([term in terms for terms in self._terms]).translate(_DIGITS)
+            # the leading "0" keeps an empty corpus legal: int(b"0", 2) == 0
+            bits = self._bitmaps[term] = int(b"0" + flags, 2)
+        return bits
+
+
 # errors that Path.is_file reads as "not a file": a dangling or looping symlink,
 # or one that passes through a regular file
 _NOT_A_FILE = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
@@ -109,7 +140,7 @@ def _is_file(entry: os.DirEntry) -> bool:
         raise
 
 
-def load_corpus(path: str | Path) -> list[Document]:
+def load_corpus(path: str | Path) -> Corpus:
     """Read a corpus: a directory of text files, or a JSON-lines file.
 
     Directory: every regular file is one document, id = file name, in name
@@ -117,7 +148,9 @@ def load_corpus(path: str | Path) -> list[Document]:
     JSON lines: one {"id": ..., "text": ...} object of two strings per line; a
     line that is not such an object, or not UTF-8, raises InvalidInput naming
     its number.
-    Equal tokens share one string object across the whole corpus.
+    Equal tokens share one string object across the whole corpus.  The
+    documents come back as a ``Corpus``, which keeps the presence bitmap of
+    every term it has counted.
     """
     shared: dict[str, str] = {}
 
@@ -139,7 +172,7 @@ def load_corpus(path: str | Path) -> list[Document]:
             except UnicodeDecodeError as exc:
                 raise InvalidInput(f"{name}: {exc}") from exc
             docs.append(document(name, text))
-        return docs
+        return Corpus(docs)
     # a byte that is not UTF-8 reads as a lone surrogate, and fails below in its own line
     with p.open(encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, 1):
@@ -162,7 +195,7 @@ def load_corpus(path: str | Path) -> list[Document]:
                 raise InvalidInput(f"line {line_no}: missing key {exc}") from exc
             except (ValueError, RecursionError, QoccError) as exc:
                 raise InvalidInput(f"line {line_no}: {exc}") from exc
-    return docs
+    return Corpus(docs)
 
 
 def _count_text(value: int) -> str:
@@ -221,18 +254,27 @@ class ThreeTermCounts(_Record):
         return sum(self.as_dict().values())
 
     def __add__(self, other: "ThreeTermCounts") -> "ThreeTermCounts":
+        if not isinstance(other, ThreeTermCounts):
+            return NotImplemented
         mine, theirs = self.as_dict(), other.as_dict()
         return ThreeTermCounts(**{k: mine[k] + theirs[k] for k in mine})
 
 
 def count_corpus(documents: Iterable[Document], a: str, b: str, x: str) -> ThreeTermCounts:
-    """Tally each document into exactly one of the eight presence cells."""
-    # slot (a in t) << 2 | (b in t) << 1 | (x in t): slot 7 is n111, slot 0 n000
-    tally = [0] * 8
-    for doc in documents:
-        terms = doc.terms
-        tally[(a in terms) << 2 | (b in terms) << 1 | (x in terms)] += 1
-    return ThreeTermCounts(*reversed(tally))
+    """The eight presence cells, from the bitmaps of a, b and x.
+
+    Any iterable other than a ``Corpus`` is counted through a throwaway one,
+    so only a ``Corpus`` that is kept reuses its bitmaps across probes.
+    """
+    corpus = documents if isinstance(documents, Corpus) else Corpus(documents)
+    a_bits, b_bits, x_bits = corpus._bitmap(a), corpus._bitmap(b), corpus._bitmap(x)
+    both, a_only, b_only, not_x = a_bits & b_bits, a_bits & ~b_bits, b_bits & ~a_bits, ~x_bits
+    return ThreeTermCounts(
+        (both & x_bits).bit_count(), (both & not_x).bit_count(),
+        (a_only & x_bits).bit_count(), (a_only & not_x).bit_count(),
+        (b_only & x_bits).bit_count(), (b_only & not_x).bit_count(),
+        (x_bits & ~(a_bits | b_bits)).bit_count(), len(corpus) - (a_bits | b_bits | x_bits).bit_count(),
+    )
 
 
 class CountTable(_Record):

@@ -1,6 +1,8 @@
 """Tokenizing, three-term counting, marginals, ratios, and serialization."""
+import copy
 import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from qocc.corpus import (
     _WORD_RE,
+    Corpus,
     CountTable,
     Document,
     ThreeTermCounts,
@@ -29,6 +32,8 @@ from conftest import brute_force_cells
 # more than one character (dotted capital I), or are letters, digits or
 # neither outside ASCII
 TOKENIZER_ALPHABET = [chr(c) for c in range(128)] + ["\u212a", "\u0130", "\u00df", "\u00b2", "\u00c4"]
+# probe terms: every corpus word but "y", one as a numpy string, and one no document holds
+PROBE_TERMS = ["a", "b", "x", np.str_("x"), "absent"]
 
 
 class TestTokenize:
@@ -135,25 +140,85 @@ class TestCountCorpus:
 
     def test_partition_and_merge_equals_single_pass(self, rng):
         vocabulary = ["a", "b", "x", "w"]
-        docs = [
+        corpus = Corpus(
             Document(str(i), tuple(rng.choice(vocabulary, size=int(rng.integers(0, 5)))))
             for i in range(40)
-        ]
-        whole = count_corpus(docs, "a", "b", "x")
-        merged = count_corpus(docs[:13], "a", "b", "x") + count_corpus(docs[13:], "a", "b", "x")
-        assert merged == whole
+        )
+        whole = count_corpus(corpus, "a", "b", "x")
+        assert whole == brute_force_cells(corpus, "a", "b", "x")
+        for cut in (0, 13, 40):
+            head, tail = corpus[:cut], corpus[cut:]
+            assert count_corpus(head, "a", "b", "x") + count_corpus(tail, "a", "b", "x") == whole
+            assert count_corpus(head + tail, "a", "b", "x") == whole
 
     @given(
         docs=st.lists(st.lists(st.sampled_from(["a", "b", "x", "y"]), max_size=6), max_size=30),
-        terms=st.tuples(*[st.sampled_from(["a", "b", "x", "absent"])] * 3),
+        numpy_tokens=st.booleans(),
+        probes=st.lists(st.tuples(*[st.sampled_from(PROBE_TERMS)] * 3), min_size=1, max_size=8),
     )
-    @example(docs=[[], ["a"], ["a", "x"]], terms=("a", "a", "x"))
-    @example(docs=[[], ["a", "b"], ["b", "x"]], terms=("a", "b", "a"))
-    @example(docs=[[], ["a"]], terms=("a", "b", "absent"))
+    @example(docs=[[], ["a"], ["a", "x"]], numpy_tokens=False, probes=[("a", "a", "x"), ("x", "x", "x")])
+    @example(docs=[[], ["a", "b"], ["b", "x"]], numpy_tokens=True, probes=[("a", "b", "a"), ("a", "b", "x")])
+    @example(docs=[[], ["a"]], numpy_tokens=False, probes=[("a", "b", "absent")])
+    @example(docs=[], numpy_tokens=False, probes=[("a", "b", "x"), ("absent", "absent", "absent")])
     @settings(max_examples=200, deadline=None)
-    def test_matches_brute_force_presence_tally(self, docs, terms):
-        documents = [Document(str(i), tokens) for i, tokens in enumerate(docs)]
-        assert count_corpus(documents, *terms) == brute_force_cells(documents, *terms)
+    def test_matches_brute_force_presence_tally(self, docs, numpy_tokens, probes):
+        """One Corpus reused across probes counts as the reference tally, and as a list or generator."""
+        documents = [
+            Document(str(i), np.array(tokens, dtype=str) if numpy_tokens else tokens)
+            for i, tokens in enumerate(docs)
+        ]
+        corpus = Corpus(documents)
+        for terms in probes:
+            expected = brute_force_cells(documents, *terms)
+            assert count_corpus(corpus, *terms) == expected
+            assert count_corpus(documents, *terms) == expected
+            assert count_corpus((doc for doc in documents), *terms) == expected
+
+
+class TestCorpus:
+    DOCS = (Document("1", ("a", "x")), Document("2", ("b", "a")), Document("3", ("x",)))
+
+    def test_cannot_be_mutated(self):
+        corpus = Corpus(self.DOCS)
+        before = count_corpus(corpus, "a", "b", "x")
+        assert not hasattr(corpus, "append")
+        with pytest.raises(TypeError):
+            corpus[0] = Document("4", ("b",))
+        with pytest.raises(TypeError):
+            del corpus[0]
+        with pytest.raises(TypeError):
+            corpus + [Document("4", ("b",))]
+        with pytest.raises(AttributeError):
+            corpus[0].tokens = ("b",)
+        with pytest.raises(AttributeError):
+            corpus[0].terms = frozenset({"b"})
+        assert count_corpus(corpus, "a", "b", "x") == before
+
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            lambda corpus: pickle.loads(pickle.dumps(corpus, 0)),
+            lambda corpus: pickle.loads(pickle.dumps(corpus, pickle.HIGHEST_PROTOCOL)),
+            copy.copy,
+            copy.deepcopy,
+        ],
+        ids=["pickle-0", "pickle-highest", "copy", "deepcopy"],
+    )
+    def test_copies_round_trip_and_count(self, clone):
+        corpus = Corpus(self.DOCS)
+        counted = count_corpus(corpus, "a", "b", "x")  # the original now holds bitmaps
+        copied = clone(corpus)
+        assert type(copied) is Corpus and copied == corpus
+        assert count_corpus(copied, "a", "b", "x") == counted
+        for terms in (("x", "a", "b"), ("b", "b", "absent")):
+            assert count_corpus(copied, *terms) == brute_force_cells(self.DOCS, *terms)
+
+    def test_keeps_one_bitmap_per_distinct_term(self):
+        corpus = Corpus(Document(str(i), ("a", f"w{i % 20}")) for i in range(40))
+        for _ in range(2):
+            for i in range(16):
+                count_corpus(corpus, "a", "b", f"w{i}")
+        assert len(corpus._bitmaps) == 18
 
 
 class TestThreeTermCounts:
@@ -175,6 +240,12 @@ class TestThreeTermCounts:
         assert marginals(ThreeTermCounts(n111=2**53)).n_abx == 2**53
         with pytest.raises(InvalidCounts, match=r"^cell n010 exceeds 2\*\*53, above which"):
             ThreeTermCounts(n010=2**53 + 1)
+
+    @pytest.mark.parametrize("other", [1, None, (0,) * 8, {"n111": 1}], ids=["int", "none", "tuple", "dict"])
+    def test_adds_only_another_three_term_counts(self, other):
+        with pytest.raises(TypeError, match="^unsupported operand type"):
+            ThreeTermCounts(n111=1) + other
+        assert ThreeTermCounts(n111=1) + ThreeTermCounts(n000=2) == ThreeTermCounts(n111=1, n000=2)
 
 
 class TestMarginals:
@@ -402,6 +473,7 @@ class TestLoadCorpus:
         (tmp_path / "one.txt").write_text("Fruits here", encoding="utf-8")
         (tmp_path / "two.txt").write_text("vegetables there", encoding="utf-8")
         docs = load_corpus(tmp_path)
+        assert type(docs) is Corpus
         assert [doc.id for doc in docs] == ["one.txt", "two.txt"]
         assert docs[0].tokens == ("fruits", "here")
 
@@ -422,6 +494,7 @@ class TestLoadCorpus:
             encoding="utf-8",
         )
         docs = load_corpus(path)
+        assert type(docs) is Corpus
         assert [doc.id for doc in docs] == ["d1", "d2"]
         assert docs[1].tokens == ("olive", "oil")
 

@@ -45,6 +45,10 @@ TEXT_PIECES = (
     "apple", "Pear", "STONE", "caf\u00e9", "\u212a", "stra\u00dfe", "\u0130", "x_y", "a1b", "42",
     "-", " ", "\t\n", "",
 )
+# JSON values that are not strings, for a JSON-lines id or text
+NON_STRINGS = (None, 0, 7, True, False, 1.5, [], ["a"], {}, {"text": "a"})
+# probe words: words of TEXT_PIECES as tokenize gives them, and one no text holds
+PROBE_WORDS = ("apple", "pear", "stone", "caf\u00e9", "k", "x", "y", "absent")
 EDGE_SHARE = 0.1
 
 
@@ -94,7 +98,8 @@ def text(rng: random.Random) -> str:
 
 
 def json_lines(rng: random.Random) -> list[str]:
-    """A JSON-lines corpus: documents of TEXT_PIECES with blank, non-object, keyless or cut lines."""
+    """A JSON-lines corpus: documents of TEXT_PIECES with blank, non-object, keyless, cut or
+    non-string lines."""
     lines = []
     for i in range(rng.randint(0, 6)):
         draw, line = rng.random(), json.dumps({"id": f"d{i}", "text": text(rng)})
@@ -106,17 +111,24 @@ def json_lines(rng: random.Random) -> list[str]:
             line = json.dumps({rng.choice(("id", "text")): "d"})
         elif draw < 0.2:
             line = line[: rng.randint(0, len(line) - 1)]
+        elif draw < 0.25:
+            record = {"id": f"d{i}", "text": text(rng)}
+            record[rng.choice(("id", "text"))] = rng.choice(NON_STRINGS)
+            line = json.dumps(record)
         lines.append(line)
     return lines
 
 
 def bad_corpus(rng: random.Random) -> tuple[str, list[bytes]]:
-    """A JSON-lines file's lines or a directory's files, some with an empty id or a raw 0xE9 byte."""
+    """A JSON-lines file's lines or a directory's files, some with an empty or non-string id, a
+    non-string text or a raw 0xE9 byte."""
     kind, parts = rng.choice(("jsonl", "dir")), []
     for i in range(rng.randint(0, 6)):
         draw, body = rng.random(), text(rng)
         if kind == "jsonl":
             record = {"id": "" if draw < 0.1 else f"d{i}", "text": body}
+            if 0.1 <= draw < 0.2:
+                record[rng.choice(("id", "text"))] = rng.choice(NON_STRINGS)
             part = json.dumps(record, ensure_ascii=rng.random() < 0.5).encode("utf-8")
         else:
             part = body.encode("utf-8")
@@ -127,8 +139,8 @@ def bad_corpus(rng: random.Random) -> tuple[str, list[bytes]]:
     return kind, parts
 
 
-def read_corpus(qocc, kind: str, parts: list[bytes]) -> list[tuple[str, tuple[str, ...]]]:
-    """(id, tokens) per document of load_corpus on parts, written as JSON lines or one file each."""
+def load(qocc, kind: str, parts: list[bytes]):
+    """load_corpus on parts, written as JSON lines or one file each."""
     with tempfile.TemporaryDirectory() as folder:
         path = Path(folder)
         if kind == "jsonl":
@@ -137,7 +149,46 @@ def read_corpus(qocc, kind: str, parts: list[bytes]) -> list[tuple[str, tuple[st
         else:
             for i, part in enumerate(parts):
                 (path / f"d{i}.txt").write_bytes(part)
-        return [(doc.id, doc.tokens) for doc in qocc.load_corpus(path)]
+        return qocc.load_corpus(path)
+
+
+def read_corpus(qocc, kind: str, parts: list[bytes]) -> list[tuple[str, tuple[str, ...]]]:
+    """(id, tokens) per document of load_corpus on parts."""
+    return [(doc.id, doc.tokens) for doc in load(qocc, kind, parts)]
+
+
+def texts_and_probes(rng: random.Random) -> tuple[str, list[bytes], list[tuple[str, str, str]]]:
+    """A valid corpus as JSON lines or files, and up to 16 probes of PROBE_WORDS to count on it."""
+    kind = rng.choice(("jsonl", "dir"))
+    bodies = [text(rng) for _ in range(rng.randint(0, 8))]
+    if kind == "jsonl":
+        bodies = [json.dumps({"id": f"d{i}", "text": body}) for i, body in enumerate(bodies)]
+    parts = [body.encode("utf-8") for body in bodies]
+    probes = [tuple(rng.choice(PROBE_WORDS) for _ in range(3)) for _ in range(rng.randint(1, 16))]
+    return kind, parts, probes
+
+
+def make_document(qocc, doc_id: str, tokens) -> tuple:
+    doc = qocc.Document(doc_id, tokens)
+    return doc, sorted(doc.terms)
+
+
+def count_loaded(qocc, kind: str, parts: list[bytes], probes: list[tuple[str, str, str]]) -> list[dict]:
+    """Every probe counted on one load_corpus result, so later probes reuse what earlier ones built."""
+    docs = load(qocc, kind, parts)
+    return [qocc.count_corpus(docs, *terms).as_dict() for terms in probes]
+
+
+def document(rng: random.Random) -> tuple[str, object]:
+    """A Document's arguments: an id that may be empty, and tokens as a tuple, a list or one str."""
+    doc_id = rng.choice(("", "d", "0", " ", "caf\u00e9"))
+    tokens = text(rng)
+    draw = rng.random()
+    if draw < 0.4:
+        return doc_id, tuple(tokens.split())
+    if draw < 0.7:
+        return doc_id, tokens.split()
+    return doc_id, tokens
 
 
 def corpus(rng: random.Random) -> tuple[list[list[str]], tuple[str, str, str]]:
@@ -181,11 +232,15 @@ def cases(qocc, canonical_json) -> dict:
             lambda lines: read_corpus(qocc, "jsonl", [line.encode("utf-8") for line in lines]),
         ),
         "load_corpus_errors": (bad_corpus, lambda kind, parts: read_corpus(qocc, kind, parts)),
+        "Document": (document, lambda doc_id, tokens: make_document(qocc, doc_id, tokens)),
         "count_corpus": (
             corpus,
             lambda docs, terms: qocc.count_corpus(
                 [qocc.Document(str(i), tokens) for i, tokens in enumerate(docs)], *terms
             ).as_dict(),
+        ),
+        "count_corpus_loaded": (
+            texts_and_probes, lambda kind, parts, probes: count_loaded(qocc, kind, parts, probes)
         ),
         "marginals": (
             lambda r: [cell(r) for _ in range(8)],

@@ -26,7 +26,6 @@ from .corpus import (
     ProbabilityTriple,
     ThreeTermCounts,
     count_corpus,
-    document_from_text,
     load_corpus,
     marginals,
     probabilities,
@@ -78,7 +77,6 @@ __all__ = [
     "classify_extension",
     "context_interval",
     "count_corpus",
-    "document_from_text",
     "fit_params",
     "fit_params_constrained",
     "fits_interference_only",

@@ -61,20 +61,19 @@ class _Exit(Exception):
         self.code = code
 
 
-# the pinned model parameters of ``interval`` and ``fit``, and the names
-# ``fit --help`` gives them
-_PINS = (("p_a", "p_a"), ("p_b", "p_b"), ("c", "c"), ("c_prime", "c'"))
+# the pinned model parameters of ``interval`` and ``fit``
+_PINS = ("p_a", "p_b", "c", "c_prime")
 
 
-def _add_pin_flags(parser: argparse.ArgumentParser, helped: bool) -> None:
-    for dest, shown in _PINS:
-        help_text = f"pin {shown} (constrained solve)" if helped else None
-        parser.add_argument("--" + dest.replace("_", "-"), dest=dest, type=float, help=help_text)
+def _add_pin_flags(parser: argparse.ArgumentParser) -> None:
+    for dest in _PINS:
+        flag = "--" + dest.replace("_", "-")
+        parser.add_argument(flag, dest=dest, type=float, help=f"pin {dest} (1 when not given)")
 
 
 def _pins(args: argparse.Namespace) -> list[float]:
     """The pinned parameters in ``_PINS`` order, 1.0 where a flag is not given."""
-    return [1.0 if getattr(args, dest) is None else getattr(args, dest) for dest, _ in _PINS]
+    return [1.0 if getattr(args, dest) is None else getattr(args, dest) for dest in _PINS]
 
 
 def _read_table(command: str, path_arg: str) -> CountTable:
@@ -150,7 +149,7 @@ def cmd_interval(args: argparse.Namespace) -> None:
 
 def cmd_fit(args: argparse.Namespace) -> None:
     try:
-        if any(getattr(args, dest) is not None for dest, _ in _PINS):
+        if any(getattr(args, dest) is not None for dest in _PINS):
             result = fit_params_constrained(args.mu_a, args.mu_b, args.target, *_pins(args))
         else:
             result = fit_params(args.mu_a, args.mu_b, args.target)
@@ -224,14 +223,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_interval.add_argument("--table", help="count-table JSON path (interference interval)")
     p_interval.add_argument("--mu-a", dest="mu_a", type=float)
     p_interval.add_argument("--mu-b", dest="mu_b", type=float)
-    _add_pin_flags(p_interval, helped=False)
+    _add_pin_flags(p_interval)
     p_interval.set_defaults(func=cmd_interval)
 
-    p_fit = sub.add_parser("fit", help="solve the model for a target probability")
+    fit_text = (
+        "No pin solves all six parameters; any pin makes the unpinned ones 1 and solves only the phases."
+    )
+    p_fit = sub.add_parser("fit", help="solve the model for a target probability", description=fit_text)
     p_fit.add_argument("--mu-a", dest="mu_a", type=float, required=True)
     p_fit.add_argument("--mu-b", dest="mu_b", type=float, required=True)
     p_fit.add_argument("--target", type=float, required=True)
-    _add_pin_flags(p_fit, helped=True)
+    _add_pin_flags(p_fit)
     p_fit.set_defaults(func=cmd_fit)
 
     p_table1 = sub.add_parser("table1", help="print and self-check the bundled dataset")

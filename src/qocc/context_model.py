@@ -68,8 +68,6 @@ def _check_weights_and_moduli(p_a: float, p_b: float, c: float, c_prime: float) 
 class ModelParams(_Record):
     """Model parameters; weights in (0, 1], moduli in [0, 1], angles in [0, 2*pi)."""
 
-    _fields = ("p_a", "p_b", "c", "c_prime", "phi", "phi_prime")
-
     def __init__(
         self, p_a: float, p_b: float, c: float, c_prime: float, phi: float, phi_prime: float
     ) -> None:
@@ -89,8 +87,6 @@ class ModelParams(_Record):
 
 
 class FitResult(_Record):
-    _fields = ("params", "residual", "strategy")
-
     def __init__(self, params: ModelParams, residual: float, strategy: FitStrategy) -> None:
         result = self.__dict__
         result["params"] = params

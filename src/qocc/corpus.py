@@ -37,15 +37,17 @@ def tokenize(raw_text: str) -> list[str]:
 class _Record:
     """Base of the package's frozen records, with a frozen dataclass's behaviour.
 
-    Each record lists its fields in ``_fields`` and stores them in ``__dict__``
-    in that order; equality, hash and repr read that tuple.  Each record writes
-    its own ``__init__`` with one ``__dict__`` store per field, which costs
-    less than a generic ``__init__`` or the dataclass's ``object.__setattr__``
-    calls; ``import dataclasses`` alone would load ``inspect`` at every
-    cold start.
+    A record's fields are the parameters of its ``__init__``, in order, which
+    ``__init_subclass__`` reads into ``_fields``; equality, hash and repr read
+    that tuple.  Each ``__init__`` stores its fields with one ``__dict__``
+    store per field, which costs less than a generic ``__init__`` or the
+    dataclass's ``object.__setattr__`` calls; ``import dataclasses`` alone
+    would load ``inspect`` at every cold start.
     """
 
-    _fields: tuple[str, ...] = ()
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -73,11 +75,9 @@ class Document(_Record):
     """A document's tokens in order, and ``terms``, the set of words it contains.
 
     ``terms`` is built once here, so that a presence bitmap of ``Corpus``
-    tests each document without rebuilding it; it is left out of equality,
-    hash and repr.
+    tests each document without rebuilding it; it is no parameter, so no
+    field, and equality, hash and repr leave it out.
     """
-
-    _fields = ("id", "tokens")
 
     def __init__(self, id: str, tokens: Iterable[str]) -> None:
         if not id:
@@ -89,10 +89,6 @@ class Document(_Record):
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "terms", frozenset(tokens))
-
-
-def document_from_text(doc_id: str, text: str) -> Document:
-    return Document(doc_id, tuple(tokenize(text)))
 
 
 # presence flags 0/1 to the ASCII digits that int(..., 2) reads
@@ -179,6 +175,9 @@ def load_corpus(path: str | Path) -> Corpus:
             try:
                 if not line.isascii():
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    if line_no == 1:
+                        # the file may open with a byte order mark, which json.loads refuses
+                        line = line.removeprefix("\ufeff")
                 line = line.strip()
                 if not line:
                     continue
@@ -227,8 +226,6 @@ class ThreeTermCounts(_Record):
     Field ``n<a><b><x>`` counts documents where digit 1 means the word is
     present and 0 absent, in the order (a, b, x): n101 is "a and x but not b".
     """
-
-    _fields = ("n111", "n110", "n101", "n100", "n011", "n010", "n001", "n000")
 
     def __init__(
         self, n111: int = 0, n110: int = 0, n101: int = 0, n100: int = 0,
@@ -286,8 +283,6 @@ class CountTable(_Record):
     n_abx <= n_ax) is reported by ``classically_consistent`` instead of
     enforced, because externally measured search counts routinely violate it.
     """
-
-    _fields = ("n_a", "n_b", "n_ab", "n_ax", "n_bx", "n_abx")
 
     def __init__(self, n_a: int, n_b: int, n_ab: int, n_ax: int, n_bx: int, n_abx: int) -> None:
         cells = self.__dict__
@@ -359,8 +354,6 @@ def marginals(counts: ThreeTermCounts) -> CountTable:
 class ProbabilityTriple(_Record):
     """mu_a = n_ax/n_a, mu_b = n_bx/n_b, and the observed n_abx/n_ab."""
 
-    _fields = ("mu_a", "mu_b", "mu_ab_observed")
-
     def __init__(self, mu_a: float, mu_b: float, mu_ab_observed: float) -> None:
         ratios = self.__dict__
         ratios["mu_a"] = mu_a
@@ -368,11 +361,16 @@ class ProbabilityTriple(_Record):
         ratios["mu_ab_observed"] = mu_ab_observed
 
 
+def _check_marginals(table: CountTable, *names: str) -> None:
+    """Raise ZeroDenominator for the first of the named marginals that is zero."""
+    for name in names:
+        if getattr(table, name) == 0:
+            raise ZeroDenominator(f"marginal {name} is zero")
+
+
 def probabilities(table: CountTable) -> ProbabilityTriple:
     """Occurrence ratios of x within the a-pages, b-pages, and ab-pages."""
-    for name, denom in (("n_a", table.n_a), ("n_b", table.n_b), ("n_ab", table.n_ab)):
-        if denom == 0:
-            raise ZeroDenominator(f"marginal {name} is zero")
+    _check_marginals(table, "n_a", "n_b", "n_ab")
     return ProbabilityTriple(
         mu_a=table.n_ax / table.n_a,
         mu_b=table.n_bx / table.n_b,

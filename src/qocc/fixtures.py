@@ -30,8 +30,6 @@ TOTAL_AB = 115_000_000
 class ExemplarRow(_Record):
     """One probe word: measured ratios plus reported interval endpoints."""
 
-    _fields = ("name", "mu_a", "mu_b", "mu_ab", "reported_lo", "reported_hi")
-
     def __init__(
         self, name: str, mu_a: float, mu_b: float, mu_ab: float, reported_lo: float, reported_hi: float
     ) -> None:
@@ -65,8 +63,6 @@ INTERFERENCE_FEASIBLE: frozenset[str] = frozenset({"apple", "parsley", "yam", "e
 class ContextExample(_Record):
     """A pinned-parameter interval reported alongside the dataset."""
 
-    _fields = ("name", "p_a", "p_b", "c", "c_prime", "reported_lo", "reported_hi")
-
     def __init__(
         self, name: str, p_a: float, p_b: float, c: float, c_prime: float,
         reported_lo: float, reported_hi: float,
@@ -89,17 +85,12 @@ CONTEXT_EXAMPLES: tuple[ContextExample, ...] = (
 )
 
 
-def exemplar_row(name: str) -> ExemplarRow:
-    for row in ROWS:
-        if row.name == name:
-            return row
-    raise KeyError(f"unknown exemplar {name!r}; choose from {EXEMPLAR_NAMES}")
-
-
 def exemplar_table(name: str) -> CountTable:
     """CountTable for one probe word, reconstructed from ratios and totals."""
-    row = exemplar_row(name)
-    return table_from_ratios(TOTAL_A, TOTAL_B, TOTAL_AB, row.mu_a, row.mu_b, row.mu_ab)
+    for row in ROWS:
+        if row.name == name:
+            return table_from_ratios(TOTAL_A, TOTAL_B, TOTAL_AB, row.mu_a, row.mu_b, row.mu_ab)
+    raise KeyError(f"unknown exemplar {name!r}; choose from {EXEMPLAR_NAMES}")
 
 
 def all_tables() -> dict[str, CountTable]:

@@ -25,8 +25,8 @@ import enum
 import math
 from collections.abc import Sequence
 
-from .corpus import CountTable, _check_probability, _Record
-from .errors import DegenerateDenominator, InvalidInput, ZeroDenominator
+from .corpus import CountTable, _check_marginals, _check_probability, _Record
+from .errors import DegenerateDenominator, InvalidInput
 
 DENOMINATOR_TOL = 1e-12
 BOUNDARY_TOL = 1e-12
@@ -40,8 +40,6 @@ class InterferenceInterval(_Record):
     round-off (or classically impossible input counts) can push them
     marginally outside [0, 1].
     """
-
-    _fields = ("lo", "hi", "raw_lo", "raw_hi")
 
     def __init__(self, lo: float, hi: float, raw_lo: float, raw_hi: float) -> None:
         bounds = self.__dict__
@@ -85,8 +83,7 @@ def _count_ratios(table: CountTable, message: str, *sums: tuple[float, float]) -
     exact in floating point, so every ratio keeps its bits, and the
     normalization 1 + (k_x + k_x') / r meets DENOMINATOR_TOL itself.
     """
-    if table.n_a == 0 or table.n_b == 0:
-        raise DegenerateDenominator("n_a and n_b must be positive")
+    _check_marginals(table, "n_a", "n_b")
     half_a = (table.n_ax / table.n_a + table.n_bx / table.n_b) / 2.0
     r = math.sqrt(table.n_a * table.n_b)
     return [_model_ratio(half_a, 1.0, 1.0, u / r, v / r, message) for u, v in sums]
@@ -126,8 +123,7 @@ def interference_interval(table: CountTable) -> InterferenceInterval:
 
 def fits_interference_only(table: CountTable) -> bool:
     """Whether the observed n_abx/n_ab is attainable by phases alone."""
-    if table.n_ab == 0:
-        raise ZeroDenominator("marginal n_ab is zero")
+    _check_marginals(table, "n_ab")
     observed = table.n_abx / table.n_ab
     return interference_interval(table).contains(observed)
 

@@ -15,11 +15,6 @@ from .interference import (
 class AnalysisReport(_Record):
     """Everything the pipeline derives from one count table."""
 
-    _fields = (
-        "table", "triple", "extension", "interference",
-        "interference_only_feasible", "context_only_feasible", "fit",
-    )
-
     def __init__(
         self, table: CountTable, triple: ProbabilityTriple, extension: ExtensionClass,
         interference: InterferenceInterval, interference_only_feasible: bool,

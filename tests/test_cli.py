@@ -1,4 +1,5 @@
 """Command-line behavior: exit codes, canonical JSON, parity with the library."""
+import codecs
 import contextlib
 import errno
 import io
@@ -19,7 +20,7 @@ from qocc import fixtures
 from qocc.cli import canonical_json, main
 from qocc.context_model import fit_params, fit_params_constrained
 from qocc.corpus import (
-    _WORD_RE, Document, count_corpus, document_from_text, load_corpus, marginals, probabilities,
+    _WORD_RE, Document, count_corpus, load_corpus, marginals, probabilities, tokenize,
 )
 from qocc.fixtures import ExemplarRow, exemplar_table
 from qocc.interference import interference_interval
@@ -92,7 +93,7 @@ class TestCount:
             words = rng.choice(vocabulary, size=int(rng.integers(0, 6)))
             text = " ".join(words)
             (tmp_path / f"doc{i:02d}.txt").write_text(text, encoding="utf-8")
-            docs.append(document_from_text(f"doc{i:02d}.txt", text))
+            docs.append(Document(f"doc{i:02d}.txt", tokenize(text)))
         code, out, _ = run(capsys, "count", str(tmp_path), "fruits", "vegetables", "apple")
         assert code == 0
         expected = marginals(count_corpus(docs, "fruits", "vegetables", "apple"))
@@ -118,6 +119,18 @@ class TestCount:
             assert done.returncode == 0, done.stderr
             expected = marginals(brute_force_cells(docs, "fruits", "vegetables", x))
             assert done.stdout == canonical_json(expected.as_dict()) + "\n"
+
+    def test_json_lines_may_open_with_a_byte_order_mark(self, capsys, tmp_path):
+        body = '{"id": "d1", "text": "fruits apple"}\n{"id": "d2", "text": "fruits vegetables"}\n'
+        (tmp_path / "bom.jsonl").write_bytes(codecs.BOM_UTF8 + body.encode("utf-8"))
+        (tmp_path / "plain.jsonl").write_bytes(body.encode("utf-8"))
+        outputs = [
+            run(capsys, "count", str(tmp_path / name), "fruits", "vegetables", "apple")
+            for name in ("bom.jsonl", "plain.jsonl")
+        ]
+        assert outputs[0] == outputs[1] == (0, canonical_json(
+            {"n_a": 2, "n_b": 1, "n_ab": 1, "n_ax": 1, "n_bx": 0, "n_abx": 0}
+        ) + "\n", "")
 
     def test_quiet_suppresses_stdout(self, capsys, tmp_path):
         corpus = self.make_corpus(tmp_path)
@@ -213,6 +226,15 @@ class TestInterval:
         code, _, err = run(capsys, "interval")
         assert code == 2
 
+    @pytest.mark.parametrize("marginal", ["n_a", "n_b"])
+    def test_zero_marginal_table_exits_4_naming_the_marginal(self, capsys, tmp_path, marginal):
+        cells = {"n_a": 10, "n_b": 10, "n_ab": 0, "n_ax": 5, "n_bx": 5, "n_abx": 0}
+        cells.update({marginal: 0, marginal + "x": 0})
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(cells), encoding="utf-8")
+        expected = (4, "", f"interval: marginal {marginal} is zero\n")
+        assert run(capsys, "interval", "--table", str(path)) == expected
+
     @pytest.mark.parametrize("pin", [["--p-a", "-1"], ["--c", "2"]])
     def test_parameter_outside_its_domain_exits_6(self, capsys, pin):
         code, out, err = run(capsys, "interval", "--mu-a", ".5", "--mu-b", ".5", *pin)
@@ -222,6 +244,18 @@ class TestInterval:
 
 
 class TestFit:
+    @pytest.mark.parametrize("command", ["interval", "fit"])
+    def test_help_says_what_a_missing_pin_is(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for flag in ("--p-a P_A", "--p-b P_B", "--c C", "--c-prime C_PRIME"):
+            pin = flag.split()[1].lower()
+            assert f"{flag} pin {pin} (1 when not given)" in text
+        rule = "No pin solves all six parameters; any pin makes the unpinned ones 1 and solves only the phases."
+        assert (rule in text) == (command == "fit")
+
     def test_almond_values(self, capsys):
         code, out, _ = run(
             capsys, "--json", "fit", "--mu-a", "0.0901", "--mu-b", "0.110", "--target", "0.255"

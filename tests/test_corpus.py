@@ -1,4 +1,5 @@
 """Tokenizing, three-term counting, marginals, ratios, and serialization."""
+import codecs
 import copy
 import json
 import math
@@ -17,7 +18,6 @@ from qocc.corpus import (
     Document,
     ThreeTermCounts,
     count_corpus,
-    document_from_text,
     load_corpus,
     marginals,
     probabilities,
@@ -534,6 +534,31 @@ class TestLoadCorpus:
         with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("first", [
+        '{"id": "d1", "text": "fruits apple"}', '{"id": "d1", "text": "Caf\u00e9 fruits"}', "",
+    ], ids=["ascii", "non-ascii", "blank"])
+    def test_a_byte_order_mark_may_open_a_json_lines_file(self, tmp_path, first):
+        body = (first + '\n{"id": "d2", "text": "fruits vegetables apple"}\n').encode("utf-8")
+        plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
+        plain.write_bytes(body)
+        marked.write_bytes(codecs.BOM_UTF8 + body)
+        docs = load_corpus(marked)
+        assert docs == load_corpus(plain)
+        for probe in ("apple", "caf\u00e9", "absent"):
+            expected = brute_force_cells(load_corpus(plain), "fruits", "vegetables", probe)
+            assert count_corpus(docs, "fruits", "vegetables", probe) == expected
+
+    @pytest.mark.parametrize("data, message", [
+        (b'{"id": "d1", "text": "a"}\n\xef\xbb\xbf{"id": "d2", "text": "b"}\n',
+         "line 2: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        (b"\xef\xbb", "line 1: 'utf-8' codec can't decode bytes in position 0-1: unexpected end of data"),
+    ], ids=["second-line", "cut-short"])
+    def test_a_byte_order_mark_elsewhere_or_cut_short_is_refused(self, tmp_path, data, message):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(data)
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            load_corpus(path)
+
     def test_a_file_that_is_not_utf8_names_itself(self, tmp_path):
         (tmp_path / "a.txt").write_text("apple", encoding="utf-8")
         (tmp_path / "b.txt").write_bytes(b"caf\xe9 apple")
@@ -581,4 +606,4 @@ class TestLoadCorpus:
 
     def test_document_rejects_empty_id(self):
         with pytest.raises(InvalidInput, match="^document id must be nonempty$"):
-            document_from_text("", "anything")
+            Document("", tokenize("anything"))

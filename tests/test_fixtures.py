@@ -10,7 +10,6 @@ from qocc.fixtures import (
     TOTAL_AB,
     TOTAL_B,
     all_tables,
-    exemplar_row,
     exemplar_table,
 )
 
@@ -50,8 +49,9 @@ def test_all_other_rows_are_classically_consistent():
 
 
 def test_unknown_exemplar_raises():
-    with pytest.raises(KeyError):
-        exemplar_row("kumquat")
+    with pytest.raises(KeyError) as exc_info:
+        exemplar_table("kumquat")
+    assert exc_info.value.args == (f"unknown exemplar 'kumquat'; choose from {EXEMPLAR_NAMES}",)
 
 
 def test_context_examples_cover_the_infeasible_rows():

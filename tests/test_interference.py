@@ -228,10 +228,18 @@ class TestInterferenceInterval:
             assert interval.contains(edge)
             assert not interval.contains(math.nextafter(edge, outward))
 
-    def test_requires_positive_totals(self):
-        table = CountTable(n_a=0, n_b=10, n_ab=0, n_ax=0, n_bx=5, n_abx=0)
-        with pytest.raises(DegenerateDenominator):
-            interference_interval(table)
+    @pytest.mark.parametrize("marginal", ["n_a", "n_b"])
+    def test_requires_positive_totals(self, marginal):
+        cells = {"n_a": 10, "n_b": 10, "n_ab": 0, "n_ax": 5, "n_bx": 5, "n_abx": 0}
+        table = CountTable(**{**cells, marginal: 0, marginal + "x": 0})
+        calls = [
+            lambda: interference_interval(table),
+            lambda: mu_ab_interference(table, (), ()),
+            lambda: mu_ab_interference_sums(table, 0.0, 0.0),
+        ]
+        for call in calls:
+            with pytest.raises(ZeroDenominator, match=f"^marginal {marginal} is zero$"):
+                call()
 
 
 @st.composite
@@ -248,12 +256,12 @@ def count_tables(draw):
 
 
 def outcomes(fn, *argument_sets):
-    """fn's value for each argument set, None where it raises DegenerateDenominator."""
+    """fn's value for each argument set, None where it raises a denominator error."""
     values = []
     for args in argument_sets:
         try:
             values.append(fn(*args))
-        except DegenerateDenominator:
+        except (DegenerateDenominator, ZeroDenominator):
             values.append(None)
     return values
 
@@ -274,7 +282,7 @@ class TestOneModelRatio:
         sums = outcomes(mu_ab_interference_sums, (table, -n, n_prime), (table, n, -n_prime))
         try:
             interval = interference_interval(table)
-        except DegenerateDenominator:
+        except (DegenerateDenominator, ZeroDenominator):
             assert None in sums
         else:
             assert [interval.raw_lo, interval.raw_hi] == sums

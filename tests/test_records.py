@@ -9,7 +9,7 @@ import pickle
 import pytest
 
 from qocc.context_model import FitResult, FitStrategy, ModelParams
-from qocc.corpus import CountTable, Document, ProbabilityTriple, ThreeTermCounts
+from qocc.corpus import CountTable, Document, ProbabilityTriple, ThreeTermCounts, _Record
 from qocc.fixtures import ContextExample, ExemplarRow
 from qocc.interference import ExtensionClass, InterferenceInterval
 from qocc.report import AnalysisReport
@@ -121,3 +121,32 @@ def test_as_dict_keeps_field_order(cls, fields):
     reordered = dict(reversed(fields.items()))
     assert list(cls(**reordered).as_dict().items()) == list(fields.items())
 
+
+
+class _Span(_Record):
+    def __init__(self, start: int, stop: int = 0) -> None:
+        span = self.__dict__
+        span["start"] = start
+        span["stop"] = max(start, stop)
+
+
+class _ClosedSpan(_Span):
+    pass
+
+
+@pytest.mark.parametrize("cls, fields, literal", RECORDS, ids=IDS)
+def test_fields_are_the_init_parameters_in_order(cls, fields, literal):
+    assert cls._fields == tuple(fields)
+
+
+def test_fields_are_the_parameters_not_the_locals():
+    # a defaulted parameter is a field, a local variable is not
+    assert _Span._fields == ("start", "stop")
+    assert repr(_Span(3)) == "_Span(start=3, stop=3)"
+    assert _Span(3) == _Span(3, 1) != _Span(3, 4)
+
+
+def test_a_subclass_without_init_inherits_its_parents_fields():
+    assert _ClosedSpan._fields == ("start", "stop")
+    assert repr(_ClosedSpan(1, 2)) == "_ClosedSpan(start=1, stop=2)"
+    assert _ClosedSpan(1, 2) != _Span(1, 2)

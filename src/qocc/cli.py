@@ -127,20 +127,17 @@ def cmd_analyze(args: argparse.Namespace) -> None:
 
 
 def cmd_interval(args: argparse.Namespace) -> None:
-    if args.table is not None:
-        try:
-            interval = interference_interval(_read_table("interval", args.table))
-        except QoccError as exc:
-            raise _Exit(EXIT_BAD_TABLE, f"interval: {exc}")
-    elif args.mu_a is None or args.mu_b is None:
+    if args.table is None and (args.mu_a is None or args.mu_b is None):
         raise _Exit(EXIT_UNREADABLE, "interval: --table or --mu-a/--mu-b required")
-    else:
-        try:
+    try:
+        if args.table is not None:
+            interval = interference_interval(_read_table("interval", args.table))
+        else:
             interval = context_interval(args.mu_a, args.mu_b, *_pins(args))
-        except InvalidInput as exc:
-            raise _Exit(EXIT_FIT_DOMAIN, f"interval: {exc}")
-        except QoccError as exc:
-            raise _Exit(EXIT_BAD_TABLE, f"interval: {exc}")
+    except InvalidInput as exc:
+        raise _Exit(EXIT_FIT_DOMAIN, f"interval: {exc}")
+    except QoccError as exc:
+        raise _Exit(EXIT_BAD_TABLE, f"interval: {exc}")
     if args.json:
         _emit(args, canonical_json(interval.as_dict()))
     else:

@@ -79,11 +79,9 @@ class ModelParams(_Record):
         params["p_b"] = p_b
         params["c"] = c
         params["c_prime"] = c_prime
-        params["phi"] = phi % TWO_PI
-        params["phi_prime"] = phi_prime % TWO_PI
-
-    def as_dict(self) -> dict[str, float]:
-        return self.__dict__.copy()
+        # a phase just below 0 rounds up to TWO_PI itself; the second % maps that to 0.0
+        params["phi"] = phi % TWO_PI % TWO_PI
+        params["phi_prime"] = phi_prime % TWO_PI % TWO_PI
 
 
 class FitResult(_Record):

@@ -70,13 +70,17 @@ class _Record:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
         return f"{self.__class__.__qualname__}({fields})"
 
+    def as_dict(self) -> dict:
+        """Field name -> value, in field order: the ``__dict__`` that ``__init__`` filled, copied."""
+        return self.__dict__.copy()
+
 
 class Document(_Record):
     """A document's tokens in order, and ``terms``, the set of words it contains.
 
     ``terms`` is built once here, so that a presence bitmap of ``Corpus``
     tests each document without rebuilding it; it is no parameter, so no
-    field, and equality, hash and repr leave it out.
+    field, and equality, hash, repr and ``as_dict`` leave it out.
     """
 
     def __init__(self, id: str, tokens: Iterable[str]) -> None:
@@ -89,6 +93,9 @@ class Document(_Record):
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "terms", frozenset(tokens))
+
+    def as_dict(self) -> dict:
+        return {"id": self.id, "tokens": self.tokens}
 
 
 # presence flags 0/1 to the ASCII digits that int(..., 2) reads
@@ -243,9 +250,6 @@ class ThreeTermCounts(_Record):
         for name, value in cells.items():
             _check_count(f"cell {name}", value)
 
-    def as_dict(self) -> dict[str, int]:
-        return self.__dict__.copy()
-
     @property
     def total(self) -> int:
         return sum(self.as_dict().values())
@@ -321,9 +325,6 @@ class CountTable(_Record):
         upper = self.n_abx <= min(self.n_ax, self.n_bx)
         lower = self.n_abx >= max(0, self.n_ab + self.n_ax - self.n_a, self.n_ab + self.n_bx - self.n_b)
         return upper and lower
-
-    def as_dict(self) -> dict[str, int]:
-        return self.__dict__.copy()
 
     @classmethod
     def from_dict(cls, data: dict) -> "CountTable":

@@ -51,9 +51,6 @@ class InterferenceInterval(_Record):
     def contains(self, value: float, slack: float = FEASIBILITY_SLACK) -> bool:
         return self.lo - slack <= value <= self.hi + slack
 
-    def as_dict(self) -> dict[str, float]:
-        return self.__dict__.copy()
-
 
 class ExtensionClass(enum.Enum):
     """Position of the combined probability against the individual ones."""

@@ -32,7 +32,7 @@ class AnalysisReport(_Record):
     def as_dict(self) -> dict:
         return {
             "table": self.table.as_dict(),
-            "triple": self.triple.__dict__.copy(),
+            "triple": self.triple.as_dict(),
             "extension": self.extension.value,
             "interference": self.interference.as_dict(),
             "interference_only_feasible": self.interference_only_feasible,

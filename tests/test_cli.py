@@ -222,6 +222,12 @@ class TestInterval:
         assert code == 0
         assert out.startswith("[1.02e-01, 3.34e-01]")
 
+    def test_table_wins_over_measurements_and_pins(self, capsys, tmp_path):
+        # --p-a 2 alone exits 6 on the pinned path
+        table = write_table(tmp_path, "apple")
+        argv = ("interval", "--table", table, "--mu-a", ".5", "--mu-b", ".5", "--p-a", "2")
+        assert run(capsys, *argv) == (0, "[1.02e-01, 3.34e-01]\n", "")
+
     def test_needs_some_input(self, capsys):
         code, _, err = run(capsys, "interval")
         assert code == 2

@@ -45,6 +45,16 @@ class TestModelParams:
         assert params.phi == pytest.approx(math.pi)
         assert params.phi_prime == pytest.approx(math.pi)
 
+    @pytest.mark.parametrize("phase, stored", [
+        (-1e-20, 0.0), (-5e-324, 0.0), (-1e-16, 0.0), (-4.5e-16, 6.283185307179585),
+        (-0.0, 0.0), (2.0 * math.pi, 0.0),
+    ])
+    def test_angles_stay_below_two_pi(self, phase, stored):
+        # phase % (2*pi) rounds a phase just below 0 up to 2*pi itself
+        params = ModelParams(1.0, 1.0, 1.0, 1.0, phase, phase)
+        assert 0.0 <= params.phi < 2.0 * math.pi
+        assert params.phi == params.phi_prime == stored
+
     def test_rejects_zero_weight(self):
         with pytest.raises(InvalidInput):
             ModelParams(0.0, 1.0, 0.5, 0.5, 0.0, 0.0)

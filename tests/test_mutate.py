@@ -1,10 +1,14 @@
 """tools/mutate.py names the mutants that no test fails, and writes nothing to the checkout it tests."""
+import ast
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 TOOL = Path(__file__).parents[1] / "tools" / "mutate.py"
+sys.path.insert(0, str(TOOL.parent))
+from mutate import Mutator  # noqa: E402
+
 MODULE = '''def checked(x):
     if x is None:
         raise ValueError("x is None")
@@ -45,7 +49,10 @@ def test_prints_each_survivor_and_leaves_the_checkout_alone(tmp_path):
     done = mutate(tmp_path)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[:-1] == ["src/pkg/m.py:3 drop raise", "# src/pkg/m.py mutants=2 survived=1"]
+    assert lines[:-1] == [
+        "src/pkg/m.py:3 drop raise | checked | raise ValueError('x is None') | 0",
+        "# src/pkg/m.py mutants=2 survived=1",
+    ]
     assert re.fullmatch(r"# total mutants=2 killed=1 survived=1 seconds=\d+", lines[-1])
     assert files(tmp_path) == before
 
@@ -55,3 +62,51 @@ def test_stops_when_the_unmutated_module_fails_its_tests(tmp_path):
     done = mutate(tmp_path)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == "mutate: tests fail on unmutated src/pkg/m.py; no mutant run\n"
+
+
+NESTED = """LIMIT = 2
+
+
+class Box:
+    size = 0
+
+    def fits(self, x):
+        def inner(y):
+            return 0 < y < LIMIT and y != 0
+        if x is None:
+            raise ValueError("no x")
+        return inner(x) or x == 0 or x == 0
+"""
+
+
+def sites(source):
+    mutator = Mutator()
+    mutator.visit(ast.parse(source))
+    return mutator.sites
+
+
+def test_keys_name_function_node_mutation_and_occurrence():
+    assert [(site.line, *site.key) for site in sites(NESTED)] == [
+        (1, "<module>", "2", "2 -> 3", 0),
+        (5, "Box", "0", "0 -> 1", 0),
+        (9, "Box.fits.<locals>.inner", "0 < y < LIMIT and y != 0", "and -> or", 0),
+        (9, "Box.fits.<locals>.inner", "0", "0 -> 1", 0),
+        (9, "Box.fits.<locals>.inner", "0 < y < LIMIT", "< -> <=", 0),
+        (9, "Box.fits.<locals>.inner", "0 < y < LIMIT", "< -> <=", 1),
+        (9, "Box.fits.<locals>.inner", "0", "0 -> 1", 1),
+        (9, "Box.fits.<locals>.inner", "y != 0", "!= -> ==", 0),
+        (10, "Box.fits", "x is None", "is -> is not", 0),
+        (11, "Box.fits", "raise ValueError('no x')", "drop raise", 0),
+        (12, "Box.fits", "inner(x) or x == 0 or x == 0", "or -> and", 0),
+        (12, "Box.fits", "0", "0 -> 1", 0),
+        (12, "Box.fits", "x == 0", "== -> !=", 0),
+        (12, "Box.fits", "0", "0 -> 1", 1),
+        (12, "Box.fits", "x == 0", "== -> !=", 1),
+    ]
+
+
+def test_a_blank_line_above_a_function_moves_lines_and_keeps_keys():
+    before = sites(NESTED)
+    after = sites(NESTED.replace("    def fits", "\n    def fits"))
+    assert [site.key for site in after] == [site.key for site in before]
+    assert [site.line for site in after] == [line + (line >= 7) for line, *_ in before]

@@ -25,8 +25,17 @@ runs past its time limit, five times the unmutated run plus 30 s.  Before
 its mutants, each module runs once rewritten by ``ast.unparse`` but
 unchanged; if that run fails, the tool stops with exit code 2.
 
-Output: one line per surviving mutant, ``<module>:<line> <mutation>``, then
-one ``#`` summary line per module and a total.  Standard library only.
+Output: one line per surviving mutant, then one ``#`` summary line per module
+and a total.  A survivor's line is
+
+    <module>:<line> <mutation> | <function> | <node> | <occurrence>
+
+where the part after ``<line>`` keys the mutant independently of line numbers:
+<function> is the qualified name of the enclosing function (``<module>`` at
+module level), <node> is ``ast.unparse`` of the node before mutation, and
+<occurrence> counts the earlier sites of the same node and mutation in that
+function, from 0.  An edit elsewhere in the module moves <line> and leaves
+every key.  Standard library only.
 """
 from __future__ import annotations
 
@@ -42,6 +51,7 @@ import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 # the two acceptance criteria that fail on the bundled dataset's own
 # inconsistencies (README, "Known dataset discrepancies")
@@ -71,6 +81,23 @@ def nudge(value: int | float) -> int | float:
     return 1e-9 if value == 0.0 else value * (1.0 + 1e-9)
 
 
+class Site(NamedTuple):
+    """One mutation site: its line, and the key that names it without the line."""
+
+    line: int
+    function: str
+    node: str
+    mutation: str
+    occurrence: int
+
+    @property
+    def key(self) -> tuple[str, str, str, int]:
+        return self[1:]
+
+    def __str__(self) -> str:
+        return f"{self.line} {self.mutation} | {self.function} | {self.node} | {self.occurrence}"
+
+
 class Mutator(ast.NodeTransformer):
     """Numbers the mutation sites in visiting order and applies the one at ``target``.
 
@@ -80,11 +107,33 @@ class Mutator(ast.NodeTransformer):
 
     def __init__(self, target: int = -1) -> None:
         self.target = target
-        self.sites: list[tuple[int, str]] = []
+        self.sites: list[Site] = []
+        # the qualified name of the innermost def or class, and what its members' names start with
+        self.function, self.prefix = "<module>", ""
+        self.seen: dict[tuple[str, str, str], int] = {}
 
     def _hit(self, node: ast.AST, mutation: str) -> bool:
-        self.sites.append((node.lineno, mutation))
+        where = (self.function, ast.unparse(node), mutation)
+        occurrence = self.seen[where] = self.seen.get(where, -1) + 1
+        self.sites.append(Site(node.lineno, *where, occurrence))
         return len(self.sites) - 1 == self.target
+
+    def _scoped(self, node: ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef, inner: str) -> ast.AST:
+        outer = self.function, self.prefix
+        self.function = self.prefix + node.name
+        self.prefix = self.function + inner
+        try:
+            return self.generic_visit(node)
+        finally:
+            self.function, self.prefix = outer
+
+    def visit_FunctionDef(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> ast.AST:
+        return self._scoped(node, ".<locals>.")
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> ast.AST:
+        return self._scoped(node, ".")
 
     def visit_Compare(self, node: ast.Compare) -> ast.AST:
         self.generic_visit(node)
@@ -258,9 +307,9 @@ def main(argv: list[str] | None = None) -> int:
             mutants = survivors = 0
             for module, sites, jobs in runs:
                 survived = [job.result()[0] for job in jobs]
-                for (line, mutation), alive in zip(sites, survived):
+                for site, alive in zip(sites, survived):
                     if alive:
-                        print(f"{module}:{line} {mutation}", flush=True)
+                        print(f"{module}:{site}", flush=True)
                 print(f"# {module} mutants={len(sites)} survived={sum(survived)}", flush=True)
                 mutants += len(sites)
                 survivors += sum(survived)

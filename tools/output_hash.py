@@ -33,7 +33,10 @@ UNIT_EDGES = (
     -0.1, 1.5, math.nan, math.inf, -math.inf,
 )
 COSINE_EDGES = (-1.0, 1.0, 0.0, -0.0, 1e-12, -1.0000000000000002, 3.0, -math.inf, math.nan)
-PHASE_EDGES = (0.0, math.pi / 2.0, math.pi, -math.pi, 2.0 * math.pi, 7.0, math.inf, math.nan)
+# -1e-20 and -5e-324 are phases that reduce modulo 2*pi to 2*pi itself
+PHASE_EDGES = (
+    0.0, math.pi / 2.0, math.pi, -math.pi, 2.0 * math.pi, 7.0, -1e-20, -5e-324, math.inf, math.nan,
+)
 # table cells as JSON decoding or a library caller can give them
 CELL_EDGES = (
     0, 1, 2**53, 2**53 + 1, -1, 10**400, True, False, None, "3", [], 1.5, 2.0, -0.0,
@@ -270,6 +273,7 @@ def cases(qocc, canonical_json) -> dict:
             one_table, lambda data: canonical_json(qocc.build_report(table(**data)).as_dict())
         ),
         "mu_ab_cosines": (lambda r: units(6)(r) + [cosine(r), cosine(r)], qocc.mu_ab_cosines),
+        "ModelParams": (lambda r: units(4)(r) + [phase(r), phase(r)], qocc.ModelParams),
         "mu_ab_full": (
             lambda r: units(6)(r) + [phase(r), phase(r)],
             lambda mu_a, mu_b, *params: qocc.mu_ab_full(mu_a, mu_b, qocc.ModelParams(*params)),

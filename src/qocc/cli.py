@@ -94,7 +94,7 @@ def cmd_count(args: argparse.Namespace) -> None:
             raise _Exit(EXIT_UNREADABLE, f"count: term {term!r} is not a single word")
         terms += tokens
     try:
-        documents = load_corpus(args.corpus_path)
+        documents = load_corpus(args.corpus_path, terms)
     except OSError as exc:
         raise _Exit(EXIT_UNREADABLE, f"count: cannot read corpus: {exc}")
     except (ValueError, QoccError) as exc:

@@ -13,7 +13,7 @@ import math
 import os
 import re
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InconsistentRatios, InvalidCounts, InvalidInput, QoccError, ZeroDenominator
 
@@ -32,6 +32,21 @@ def tokenize(raw_text: str) -> list[str]:
     if lowered.isascii():
         return lowered.translate(_ASCII_SPLIT).split()
     return _WORD_RE.findall(lowered)
+
+
+def _present(raw_text: str, words: tuple[str, ...]) -> tuple[str, ...]:
+    """The words that ``tokenize(raw_text)`` holds, found without listing its tokens.
+
+    Each word must be one token of itself.  The translated ASCII text is
+    runs of letters between spaces, so a word padded with a space at each
+    end occurs in the padded text exactly where it is a whole token.
+    """
+    lowered = raw_text.lower()
+    if lowered.isascii():
+        spaced = f" {lowered.translate(_ASCII_SPLIT)} "
+        return tuple(word for word in words if f" {word} " in spaced)
+    found = set(_WORD_RE.findall(lowered))
+    return tuple(word for word in words if word in found)
 
 
 class _Record:
@@ -75,6 +90,9 @@ class _Record:
         return self.__dict__.copy()
 
 
+_EMPTY_ID = "document id must be nonempty"
+
+
 class Document(_Record):
     """A document's tokens in order, and ``terms``, the set of words it contains.
 
@@ -85,7 +103,7 @@ class Document(_Record):
 
     def __init__(self, id: str, tokens: Iterable[str]) -> None:
         if not id:
-            raise InvalidInput("document id must be nonempty")
+            raise InvalidInput(_EMPTY_ID)
         if isinstance(tokens, str):
             raise InvalidInput("document tokens must be a sequence of words, not one str")
         tokens = tuple(tokens)
@@ -111,19 +129,29 @@ class Corpus(tuple):
     kept: n/8 bytes for each distinct term counted on this corpus, never
     evicted.  The tuple and its documents are immutable, so a kept bitmap
     cannot go stale.
+
+    ``terms`` is None, or the only words this corpus may count: a corpus that
+    ``load_corpus`` read for given words holds no others, so counting another
+    raises InvalidInput instead of giving a silent 0.
     """
 
-    def __init__(self, documents: Iterable[Document] = ()) -> None:
-        self._terms = [doc.terms for doc in self]
+    def __new__(cls, documents: Iterable[Document] = (), terms: Iterable[str] | None = None) -> "Corpus":
+        return super().__new__(cls, documents)
+
+    def __init__(self, documents: Iterable[Document] = (), terms: Iterable[str] | None = None) -> None:
+        self.terms = None if terms is None else frozenset(terms)
+        self._sets = [doc.terms for doc in self]
         self._bitmaps: dict[str, int] = {}
 
     def __reduce__(self):
-        return self.__class__, (tuple(self),)
+        return self.__class__, (tuple(self), self.terms)
 
     def _bitmap(self, term: str) -> int:
         bits = self._bitmaps.get(term)
         if bits is None:
-            flags = bytes([term in terms for terms in self._terms]).translate(_DIGITS)
+            if self.terms is not None and term not in self.terms:
+                raise InvalidInput(f"this corpus was loaded without the word {term!r}")
+            flags = bytes([term in terms for terms in self._sets]).translate(_DIGITS)
             # the leading "0" keeps an empty corpus legal: int(b"0", 2) == 0
             bits = self._bitmaps[term] = int(b"0" + flags, 2)
         return bits
@@ -143,26 +171,8 @@ def _is_file(entry: os.DirEntry) -> bool:
         raise
 
 
-def load_corpus(path: str | Path) -> Corpus:
-    """Read a corpus: a directory of text files, or a JSON-lines file.
-
-    Directory: every regular file is one document, id = file name, in name
-    order; a file that is not UTF-8 raises InvalidInput naming the file.
-    JSON lines: one {"id": ..., "text": ...} object of two strings per line; a
-    line that is not such an object, or not UTF-8, raises InvalidInput naming
-    its number.
-    Equal tokens share one string object across the whole corpus.  The
-    documents come back as a ``Corpus``, which keeps the presence bitmap of
-    every term it has counted.
-    """
-    shared: dict[str, str] = {}
-
-    def document(doc_id: str, text: str) -> Document:
-        tokens = tokenize(text)
-        return Document(doc_id, tuple(map(shared.setdefault, tokens, tokens)))
-
-    p = Path(path)
-    docs: list[Document] = []
+def _texts(p: Path) -> Iterator[tuple[str, str]]:
+    """(id, text) of each document under p, checked as ``load_corpus`` says."""
     if p.is_dir():
         with os.scandir(p) as entries:
             files = sorted((entry.name, entry.path) for entry in entries if _is_file(entry))
@@ -174,8 +184,8 @@ def load_corpus(path: str | Path) -> Corpus:
                 text = data.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise InvalidInput(f"{name}: {exc}") from exc
-            docs.append(document(name, text))
-        return Corpus(docs)
+            yield name, text
+        return
     # a byte that is not UTF-8 reads as a lone surrogate, and fails below in its own line
     with p.open(encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, 1):
@@ -196,12 +206,58 @@ def load_corpus(path: str | Path) -> Corpus:
                     raise InvalidInput(f"id must be a string, got {type(doc_id).__name__}")
                 if type(text) is not str:
                     raise InvalidInput(f"text must be a string, got {type(text).__name__}")
-                docs.append(document(doc_id, text))
+                if not doc_id:
+                    # Document refuses it too, but outside this loop, where the line is not known
+                    raise InvalidInput(_EMPTY_ID)
             except KeyError as exc:
                 raise InvalidInput(f"line {line_no}: missing key {exc}") from exc
             except (ValueError, RecursionError, QoccError) as exc:
                 raise InvalidInput(f"line {line_no}: {exc}") from exc
-    return Corpus(docs)
+            yield doc_id, text
+
+
+def _words(terms: Iterable[str]) -> tuple[str, ...]:
+    """The distinct terms in order, each checked to be one token of itself."""
+    if isinstance(terms, str):
+        raise InvalidInput("terms must be a sequence of words, not one str")
+    words = []
+    for term in terms:
+        # tokenize gives a plain str for a str subclass such as numpy.str_
+        tokens = tokenize(term) if isinstance(term, str) else None
+        if tokens != [term]:
+            raise InvalidInput(f"term {term!r} is not one word as tokenize gives it")
+        words += tokens
+    return tuple(dict.fromkeys(words))
+
+
+def load_corpus(path: str | Path, terms: Iterable[str] | None = None) -> Corpus:
+    """Read a corpus: a directory of text files, or a JSON-lines file.
+
+    Directory: every regular file is one document, id = file name, in name
+    order; a file that is not UTF-8 raises InvalidInput naming the file.
+    JSON lines: one {"id": ..., "text": ...} object of two strings per line; a
+    line that is not such an object, or not UTF-8, raises InvalidInput naming
+    its number.
+    Equal tokens share one string object across the whole corpus.  The
+    documents come back as a ``Corpus``, which keeps the presence bitmap of
+    every term it has counted.
+    With ``terms``, words that are each one token of themselves, the files
+    and lines are read and checked the same way, but no text is tokenized:
+    each document's ``tokens`` are the terms it contains, and the ``Corpus``
+    counts those terms only.
+    """
+    if terms is None:
+        shared: dict[str, str] = {}
+
+        def document(doc_id: str, text: str) -> Document:
+            tokens = tokenize(text)
+            return Document(doc_id, tuple(map(shared.setdefault, tokens, tokens)))
+    else:
+        terms = _words(terms)
+
+        def document(doc_id: str, text: str) -> Document:
+            return Document(doc_id, _present(text, terms))
+    return Corpus([document(doc_id, text) for doc_id, text in _texts(Path(path))], terms)
 
 
 def _count_text(value: int) -> str:

@@ -120,6 +120,42 @@ class TestCount:
             expected = marginals(brute_force_cells(docs, "fruits", "vegetables", x))
             assert done.stdout == canonical_json(expected.as_dict()) + "\n"
 
+    @pytest.mark.parametrize("terms", [
+        ("fruits", "vegetables", "\u00e4pfel"), ("Gem\u00fcse", "kiwi", "STRASSE"),
+        ("i", "stra\u00dfe", "k"), ("apple",) * 3, ("\u00e4pfel",) * 3, ("absent",) * 3,
+    ], ids=["non-ascii-probe", "capitals", "lowered-to-ascii", "w-w-w", "w-w-w-non-ascii", "w-w-w-absent"])
+    def test_non_ascii_files_and_repeated_terms_count_as_a_full_load(self, capsys, tmp_path, terms):
+        texts = {
+            "a.txt": "\u00c4pfel und Gem\u00fcse: fruits, vegetables",
+            "b.txt": "\u212aiwi \u0130stanbul stra\u00dfe",  # KELVIN SIGN and dotted I lowercase to ASCII letters
+            "c.txt": "apple\u00b2 APPLE \u00e4pfel",
+            "d.txt": "fruits vegetables apple kiwi",
+            "e.txt": "",
+        }
+        for name, text in texts.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "count", str(tmp_path), *terms)
+        assert (code, err) == (0, "")
+        words = [word for term in terms for word in tokenize(term)]
+        expected = marginals(count_corpus(load_corpus(tmp_path), *words))
+        assert out == canonical_json(expected.as_dict()) + "\n"
+
+    @pytest.mark.parametrize("name, content, code, message", [
+        ("missing", None, 2, "count: cannot read corpus: [Errno 2] No such file or directory: "),
+        ("bad.jsonl", b'{"id": "d1", "text": "a"}\n[1]\n', 2,
+         "count: malformed corpus file: line 2: expected a JSON object, got list"),
+        ("empty", b"", 3, "count: no documents under "),
+    ], ids=["missing-path", "malformed-line", "empty-directory"])
+    def test_unusable_corpus_exit_codes_and_messages(self, capsys, tmp_path, name, content, code, message):
+        path = tmp_path / name
+        if name == "empty":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        result = run(capsys, "count", str(path), "a", "b", "x")
+        assert result[:2] == (code, "")
+        assert result[2].startswith(message) and result[2].count("\n") == 1
+
     def test_json_lines_may_open_with_a_byte_order_mark(self, capsys, tmp_path):
         body = '{"id": "d1", "text": "fruits apple"}\n{"id": "d2", "text": "fruits vegetables"}\n'
         (tmp_path / "bom.jsonl").write_bytes(codecs.BOM_UTF8 + body.encode("utf-8"))

@@ -34,6 +34,8 @@ from conftest import brute_force_cells
 TOKENIZER_ALPHABET = [chr(c) for c in range(128)] + ["\u212a", "\u0130", "\u00df", "\u00b2", "\u00c4"]
 # probe terms: every corpus word but "y", one as a numpy string, and one no document holds
 PROBE_TERMS = ["a", "b", "x", np.str_("x"), "absent"]
+# load_corpus reads every word, or only these
+LOAD_MODES = pytest.mark.parametrize("terms", [None, ("a", "b", "x")], ids=["all-words", "terms"])
 
 
 class TestTokenize:
@@ -212,6 +214,15 @@ class TestCorpus:
         assert count_corpus(copied, "a", "b", "x") == counted
         for terms in (("x", "a", "b"), ("b", "b", "absent")):
             assert count_corpus(copied, *terms) == brute_force_cells(self.DOCS, *terms)
+        # a corpus of given words keeps refusing any other
+        restricted = Corpus(self.DOCS, ("a", "b", "x"))
+        counted = count_corpus(restricted, "a", "b", "x")
+        copied = clone(restricted)
+        assert copied.terms == frozenset({"a", "b", "x"})
+        assert count_corpus(copied, "x", "b", np.str_("a")) == brute_force_cells(self.DOCS, "x", "b", "a")
+        assert count_corpus(copied, "a", "b", "x") == counted
+        with pytest.raises(InvalidInput, match="'absent'"):
+            count_corpus(copied, "a", "b", "absent")
 
     def test_keeps_one_bitmap_per_distinct_term(self):
         corpus = Corpus(Document(str(i), ("a", f"w{i % 20}")) for i in range(40))
@@ -517,14 +528,16 @@ class TestLoadCorpus:
             "null-id", "false-id", "int-id", "null-text", "int-text",
         ],
     )
-    def test_json_lines_errors_name_their_line(self, tmp_path, line, message):
+    @LOAD_MODES
+    def test_json_lines_errors_name_their_line(self, tmp_path, line, message, terms):
         # line 2 is blank, and still counted
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": "d1", "text": "a"}\n\n' + line + "\n", encoding="utf-8")
         with pytest.raises(InvalidInput, match=f"^line 3: {re.escape(message)}"):
-            load_corpus(path)
+            load_corpus(path, terms)
 
-    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+    @LOAD_MODES
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, terms):
         # line 2 outruns the reader's 8 KiB chunk, so line 3's bad byte is read with line 2's end
         long_line = json.dumps({"id": "d2", "text": "a " * 4500}).encode("utf-8")
         path = tmp_path / "corpus.jsonl"
@@ -532,47 +545,52 @@ class TestLoadCorpus:
         path.write_bytes(b'{"id": "d1", "text": "a"}\n' + long_line + b"\n" + bad_line + b"\n")
         message = "line 3: 'utf-8' codec can't decode byte 0xe9 in position 26: invalid continuation byte"
         with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
-            load_corpus(path)
+            load_corpus(path, terms)
 
     @pytest.mark.parametrize("first", [
         '{"id": "d1", "text": "fruits apple"}', '{"id": "d1", "text": "Caf\u00e9 fruits"}', "",
     ], ids=["ascii", "non-ascii", "blank"])
-    def test_a_byte_order_mark_may_open_a_json_lines_file(self, tmp_path, first):
+    @LOAD_MODES
+    def test_a_byte_order_mark_may_open_a_json_lines_file(self, tmp_path, first, terms):
         body = (first + '\n{"id": "d2", "text": "fruits vegetables apple"}\n').encode("utf-8")
         plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
         plain.write_bytes(body)
         marked.write_bytes(codecs.BOM_UTF8 + body)
-        docs = load_corpus(marked)
-        assert docs == load_corpus(plain)
+        assert load_corpus(marked, terms) == load_corpus(plain, terms)
         for probe in ("apple", "caf\u00e9", "absent"):
-            expected = brute_force_cells(load_corpus(plain), "fruits", "vegetables", probe)
-            assert count_corpus(docs, "fruits", "vegetables", probe) == expected
+            words = ("fruits", "vegetables", probe)
+            docs = load_corpus(marked, None if terms is None else words)
+            assert count_corpus(docs, *words) == brute_force_cells(load_corpus(plain), *words)
 
     @pytest.mark.parametrize("data, message", [
         (b'{"id": "d1", "text": "a"}\n\xef\xbb\xbf{"id": "d2", "text": "b"}\n',
          "line 2: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
         (b"\xef\xbb", "line 1: 'utf-8' codec can't decode bytes in position 0-1: unexpected end of data"),
     ], ids=["second-line", "cut-short"])
-    def test_a_byte_order_mark_elsewhere_or_cut_short_is_refused(self, tmp_path, data, message):
+    @LOAD_MODES
+    def test_a_byte_order_mark_elsewhere_or_cut_short_is_refused(self, tmp_path, data, message, terms):
         path = tmp_path / "corpus.jsonl"
         path.write_bytes(data)
         with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
-            load_corpus(path)
+            load_corpus(path, terms)
 
-    def test_a_file_that_is_not_utf8_names_itself(self, tmp_path):
+    @LOAD_MODES
+    def test_a_file_that_is_not_utf8_names_itself(self, tmp_path, terms):
         (tmp_path / "a.txt").write_text("apple", encoding="utf-8")
         (tmp_path / "b.txt").write_bytes(b"caf\xe9 apple")
         message = "b.txt: 'utf-8' codec can't decode byte 0xe9 in position 3: invalid continuation byte"
         with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
-            load_corpus(tmp_path)
+            load_corpus(tmp_path, terms)
 
     @given(
         texts=st.lists(st.text(alphabet=TOKENIZER_ALPHABET, max_size=30), max_size=8),
         ascii_lines=st.booleans(),
+        data=st.data(),
     )
     @settings(max_examples=100, deadline=None)
-    def test_the_two_readers_agree(self, tmp_path_factory, texts, ascii_lines):
-        """The same texts as a directory of files and as JSON lines give the same documents."""
+    def test_the_two_readers_agree(self, tmp_path_factory, texts, ascii_lines, data):
+        """The same texts as a directory of files and as JSON lines give the same documents,
+        and loading only three words counts as loading every word."""
         root = tmp_path_factory.mktemp("corpus")
         folder, path = root / "docs", root / "corpus.jsonl"
         folder.mkdir()
@@ -581,9 +599,22 @@ class TestLoadCorpus:
             (folder / name).write_bytes(text.encode("utf-8"))
         lines = [json.dumps({"id": n, "text": t}, ensure_ascii=ascii_lines) for n, t in zip(names, texts)]
         path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
-        from_files = [(doc.id, doc.tokens) for doc in load_corpus(folder)]
+        full = load_corpus(folder)
+        from_files = [(doc.id, doc.tokens) for doc in full]
         assert from_files == [(doc.id, doc.tokens) for doc in load_corpus(path)]
         assert from_files == [(name, tuple(tokenize(text))) for name, text in zip(names, texts)]
+        # the texts' own words, and words they may lack: "k" is what U+212A lowercases to
+        words = sorted({token for _, tokens in from_files for token in tokens}) + ["absent", "k", "\u00e4"]
+        a, b, x = data.draw(st.tuples(*[st.sampled_from(words)] * 3))
+        for terms in ((a, b, x), (a, b, a), (x, x, x)):
+            expected = brute_force_cells(full, *terms)
+            assert count_corpus(full, *terms) == expected
+            for layout in (folder, path):
+                docs = load_corpus(layout, terms)
+                assert count_corpus(docs, *terms) == expected
+                assert [(doc.id, doc.tokens) for doc in docs] == [
+                    (name, tuple(t for t in dict.fromkeys(terms) if t in tokens)) for name, tokens in from_files
+                ]
 
     def test_equal_tokens_share_one_string(self, tmp_path):
         texts = ["Apple pie, apple!", "pie and APPLE", "\u00c4pfel apple \u00e4pfel"]
@@ -604,6 +635,39 @@ class TestLoadCorpus:
                 assert len(same) > 1 and all(tok is same[0] for tok in same)
                 assert all(tok is same[0] for doc in docs for tok in doc.terms if tok == word)
 
-    def test_document_rejects_empty_id(self):
+    @LOAD_MODES
+    def test_document_rejects_empty_id(self, tmp_path, terms):
         with pytest.raises(InvalidInput, match="^document id must be nonempty$"):
             Document("", tokenize("anything"))
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "", "text": "a b x"}\n', encoding="utf-8")
+        with pytest.raises(InvalidInput, match="^line 1: document id must be nonempty$"):
+            load_corpus(path, terms)
+
+    @pytest.mark.parametrize("terms, bad", [
+        (("two words",), "two words"), (("Apple",), "Apple"), (("",), ""), (("a", "x1"), "x1"),
+        (("a", "b", 7), 7), (("a", None), None), ("abx", None),
+    ], ids=["phrase", "capital", "empty", "digit", "int", "none", "one-str"])
+    def test_terms_must_each_be_one_token_of_itself(self, tmp_path, terms, bad):
+        """A substring test would find a phrase that no token equals, so such a term is refused."""
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "d1", "text": "a two words: Apple x1"}\n', encoding="utf-8")
+        message = "terms must be a sequence of words, not one str" if isinstance(terms, str) else (
+            f"term {bad!r} is not one word as tokenize gives it"
+        )
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            load_corpus(path, terms)
+
+    def test_a_corpus_of_given_words_refuses_others(self, tmp_path):
+        (tmp_path / "d1.txt").write_text("Apple pie, apple!", encoding="utf-8")
+        (tmp_path / "d2.txt").write_text("\u00c4pfel and pears", encoding="utf-8")
+        docs = load_corpus(tmp_path, [np.str_("apple"), "\u00e4pfel", "apple", "fig"])
+        assert docs.terms == frozenset({"apple", "\u00e4pfel", "fig"})
+        assert [(doc.id, doc.tokens) for doc in docs] == [("d1.txt", ("apple",)), ("d2.txt", ("\u00e4pfel",))]
+        assert all(type(word) is str for doc in docs for word in doc.tokens)
+        expected = brute_force_cells(load_corpus(tmp_path), "apple", "fig", "\u00e4pfel")
+        assert count_corpus(docs, np.str_("apple"), "fig", "\u00e4pfel") == expected
+        for word in ("pie", "pears", np.str_("and")):
+            message = f"this corpus was loaded without the word {word!r}"
+            with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+                count_corpus(docs, "apple", "fig", word)

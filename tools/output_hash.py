@@ -18,6 +18,7 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -142,8 +143,9 @@ def bad_corpus(rng: random.Random) -> tuple[str, list[bytes]]:
     return kind, parts
 
 
-def load(qocc, kind: str, parts: list[bytes]):
-    """load_corpus on parts, written as JSON lines or one file each."""
+@contextlib.contextmanager
+def written(kind: str, parts: list[bytes]):
+    """The path of parts, written as JSON lines or one file each, for the with-block."""
     with tempfile.TemporaryDirectory() as folder:
         path = Path(folder)
         if kind == "jsonl":
@@ -152,12 +154,25 @@ def load(qocc, kind: str, parts: list[bytes]):
         else:
             for i, part in enumerate(parts):
                 (path / f"d{i}.txt").write_bytes(part)
-        return qocc.load_corpus(path)
+        yield path
 
 
-def read_corpus(qocc, kind: str, parts: list[bytes]) -> list[tuple[str, tuple[str, ...]]]:
+def load(qocc, kind: str, parts: list[bytes], terms=None):
+    """load_corpus on parts, of every word or of terms only."""
+    with written(kind, parts) as path:
+        # a qocc older than the terms parameter still runs the other cases
+        return qocc.load_corpus(path) if terms is None else qocc.load_corpus(path, terms)
+
+
+def read_corpus(qocc, kind: str, parts: list[bytes], terms=None) -> list[tuple[str, tuple[str, ...]]]:
     """(id, tokens) per document of load_corpus on parts."""
-    return [(doc.id, doc.tokens) for doc in load(qocc, kind, parts)]
+    return [(doc.id, doc.tokens) for doc in load(qocc, kind, parts, terms)]
+
+
+def bad_corpus_and_terms(rng: random.Random) -> tuple[str, list[bytes], tuple[str, str, str]]:
+    """A bad_corpus draw and three probe words to load it with."""
+    kind, parts = bad_corpus(rng)
+    return kind, parts, tuple(rng.choice(PROBE_WORDS) for _ in range(3))
 
 
 def texts_and_probes(rng: random.Random) -> tuple[str, list[bytes], list[tuple[str, str, str]]]:
@@ -180,6 +195,12 @@ def count_loaded(qocc, kind: str, parts: list[bytes], probes: list[tuple[str, st
     """Every probe counted on one load_corpus result, so later probes reuse what earlier ones built."""
     docs = load(qocc, kind, parts)
     return [qocc.count_corpus(docs, *terms).as_dict() for terms in probes]
+
+
+def count_each_loaded(qocc, kind: str, parts: list[bytes], probes: list[tuple[str, str, str]]) -> list[dict]:
+    """Every probe counted on its own load_corpus(path, probe), as ``qocc count`` does."""
+    with written(kind, parts) as path:
+        return [qocc.count_corpus(qocc.load_corpus(path, terms), *terms).as_dict() for terms in probes]
 
 
 def document(rng: random.Random) -> tuple[str, object]:
@@ -235,6 +256,9 @@ def cases(qocc, canonical_json) -> dict:
             lambda lines: read_corpus(qocc, "jsonl", [line.encode("utf-8") for line in lines]),
         ),
         "load_corpus_errors": (bad_corpus, lambda kind, parts: read_corpus(qocc, kind, parts)),
+        "load_corpus_terms_errors": (
+            bad_corpus_and_terms, lambda kind, parts, terms: read_corpus(qocc, kind, parts, terms)
+        ),
         "Document": (document, lambda doc_id, tokens: make_document(qocc, doc_id, tokens)),
         "count_corpus": (
             corpus,
@@ -244,6 +268,9 @@ def cases(qocc, canonical_json) -> dict:
         ),
         "count_corpus_loaded": (
             texts_and_probes, lambda kind, parts, probes: count_loaded(qocc, kind, parts, probes)
+        ),
+        "load_corpus_terms": (
+            texts_and_probes, lambda kind, parts, probes: count_each_loaded(qocc, kind, parts, probes)
         ),
         "marginals": (
             lambda r: [cell(r) for _ in range(8)],

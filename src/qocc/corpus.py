@@ -12,6 +12,8 @@ import json
 import math
 import os
 import re
+from collections import defaultdict, deque
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -96,9 +98,8 @@ _EMPTY_ID = "document id must be nonempty"
 class Document(_Record):
     """A document's tokens in order, and ``terms``, the set of words it contains.
 
-    ``terms`` is built once here, so that a presence bitmap of ``Corpus``
-    tests each document without rebuilding it; it is no parameter, so no
-    field, and equality, hash, repr and ``as_dict`` leave it out.
+    ``terms`` is computed from ``tokens`` on each read and not stored: a
+    document keeps only its two fields, ``id`` and ``tokens``.
     """
 
     def __init__(self, id: str, tokens: Iterable[str]) -> None:
@@ -106,14 +107,13 @@ class Document(_Record):
             raise InvalidInput(_EMPTY_ID)
         if isinstance(tokens, str):
             raise InvalidInput("document tokens must be a sequence of words, not one str")
-        tokens = tuple(tokens)
         # not through self.__dict__: reading it would give every document a dict of its own
         object.__setattr__(self, "id", id)
-        object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "terms", frozenset(tokens))
+        object.__setattr__(self, "tokens", tuple(tokens))
 
-    def as_dict(self) -> dict:
-        return {"id": self.id, "tokens": self.tokens}
+    @property
+    def terms(self) -> frozenset[str]:
+        return frozenset(self.tokens)
 
 
 # presence flags 0/1 to the ASCII digits that int(..., 2) reads
@@ -123,12 +123,14 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 class Corpus(tuple):
     """An immutable sequence of ``Document``s that counts any probe from bitmaps.
 
-    The bitmap of a term is one int with one bit per document, set where the
-    document contains the term.  It is built in one pass over the documents'
-    ``terms``, listed once here, the first time the term is counted, then
-    kept: n/8 bytes for each distinct term counted on this corpus, never
-    evicted.  The tuple and its documents are immutable, so a kept bitmap
-    cannot go stale.
+    ``__init__`` builds one posting index: each term to the indices of the
+    documents that hold it, one entry per token, so a repeated token repeats
+    its index.  The bitmap of a term is one int with one bit per document,
+    set where the document contains the term.  It is set from the term's
+    postings the first time the term is counted, then kept: n/8 bytes for
+    each distinct term counted on this corpus, never evicted.  The tuple,
+    its documents and its attributes cannot change, so a kept bitmap cannot
+    go stale.
 
     ``terms`` is None, or the only words this corpus may count: a corpus that
     ``load_corpus`` read for given words holds no others, so counting another
@@ -139,9 +141,18 @@ class Corpus(tuple):
         return super().__new__(cls, documents)
 
     def __init__(self, documents: Iterable[Document] = (), terms: Iterable[str] | None = None) -> None:
-        self.terms = None if terms is None else frozenset(terms)
-        self._sets = [doc.terms for doc in self]
-        self._bitmaps: dict[str, int] = {}
+        tokens = [doc.tokens for doc in self]
+        # the index of each token's document: 0 len(tokens[0]) times, then 1, ...
+        owners = chain.from_iterable(map(repeat, range(len(tokens)), map(len, tokens)))
+        postings: defaultdict[str, list[int]] = defaultdict(list)
+        # one list.append per token, called from map and consumed by deque: no Python loop per token
+        deque(map(list.append, map(postings.__getitem__, chain.from_iterable(tokens)), owners), maxlen=0)
+        object.__setattr__(self, "terms", None if terms is None else frozenset(terms))
+        object.__setattr__(self, "_postings", postings)
+        object.__setattr__(self, "_bitmaps", {})
+
+    __setattr__ = _Record.__setattr__
+    __delattr__ = _Record.__delattr__
 
     def __reduce__(self):
         return self.__class__, (tuple(self), self.terms)
@@ -151,9 +162,10 @@ class Corpus(tuple):
         if bits is None:
             if self.terms is not None and term not in self.terms:
                 raise InvalidInput(f"this corpus was loaded without the word {term!r}")
-            flags = bytes([term in terms for terms in self._sets]).translate(_DIGITS)
+            flags = bytearray(len(self))
+            deque(map(flags.__setitem__, self._postings.get(term, ()), repeat(1)), maxlen=0)
             # the leading "0" keeps an empty corpus legal: int(b"0", 2) == 0
-            bits = self._bitmaps[term] = int(b"0" + flags, 2)
+            bits = self._bitmaps[term] = int(b"0" + flags.translate(_DIGITS), 2)
         return bits
 
 
@@ -321,7 +333,8 @@ def count_corpus(documents: Iterable[Document], a: str, b: str, x: str) -> Three
     """The eight presence cells, from the bitmaps of a, b and x.
 
     Any iterable other than a ``Corpus`` is counted through a throwaway one,
-    so only a ``Corpus`` that is kept reuses its bitmaps across probes.
+    which indexes every token, so only a ``Corpus`` that is kept reuses its
+    posting index and bitmaps across probes.
     """
     corpus = documents if isinstance(documents, Corpus) else Corpus(documents)
     a_bits, b_bits, x_bits = corpus._bitmap(a), corpus._bitmap(b), corpus._bitmap(x)

@@ -7,10 +7,14 @@ tests fail honestly rather than loosening their stated tolerances.  Every
 computed quantity they exercise is validated independently by criteria 2, 3a
 and 4, which pass.
 """
+import copy
 import math
+import pickle
 import time
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qocc.context_model import (
     fit_params,
@@ -19,13 +23,13 @@ from qocc.context_model import (
     mu_ab_full,
     ModelParams,
 )
-from qocc.corpus import CountTable, Document, count_corpus, marginals, probabilities
+from qocc.corpus import Corpus, CountTable, Document, count_corpus, marginals, probabilities
 from qocc.errors import DegenerateDenominator
 from qocc.fixtures import CONTEXT_EXAMPLES, INTERFERENCE_FEASIBLE, ROWS, exemplar_table
 from qocc.hilbert import born_probability, identity_projector, mu_combined, project
 from qocc.interference import fits_interference_only, interference_interval, mu_ab_interference
 
-from conftest import extract_model_params, random_web, superposition_is_degenerate
+from conftest import brute_force_cells, extract_model_params, random_web, superposition_is_degenerate
 
 
 def report(number: str, passed: bool, detail: str) -> None:
@@ -277,3 +281,35 @@ def test_criterion_8_corpus_counting_parity():
     passed = mismatches == 0
     report("8", passed, f"100 corpora recounted, {mismatches} mismatches")
     assert mismatches == 0
+
+
+# corpus words, three of them non-ASCII; probes add a word no document holds
+PARITY_WORDS = ["a", "b", "x", "\u00e4pfel", "stra\u00dfe", "\u03c9\u03bc\u03ad\u03b3\u03b1"]
+PARITY_TOKEN = st.sampled_from(PARITY_WORDS).flatmap(lambda word: st.sampled_from([word, np.str_(word)]))
+PARITY_PROBE = st.tuples(*[st.sampled_from(PARITY_WORDS + ["absent"])] * 3)
+PARITY_CLONES = (
+    lambda corpus: corpus,
+    lambda corpus: pickle.loads(pickle.dumps(corpus, 0)),
+    lambda corpus: pickle.loads(pickle.dumps(corpus, pickle.HIGHEST_PROTOCOL)),
+    copy.copy,
+    copy.deepcopy,
+)
+
+
+@given(
+    docs=st.lists(st.lists(PARITY_TOKEN, max_size=8), max_size=25),
+    probes=st.lists(PARITY_PROBE, min_size=1, max_size=6),
+)
+@example(docs=[], probes=[("a", "b", "x"), ("absent", "absent", "absent")])
+@example(docs=[[], ["a", "a", "a"], [np.str_("x"), "x"], []], probes=[("a", "b", "x"), ("x", "x", np.str_("a"))])
+@example(docs=[["\u00e4pfel", "b", "\u00e4pfel"], ["b"]], probes=[("\u00e4pfel", "b", "absent")])
+@settings(max_examples=200, deadline=None)
+def test_criterion_8_posting_index_parity(docs, probes):
+    """The posting index counts as the reference tally, with or without given words, and in copies."""
+    documents = [Document(str(i), tokens) for i, tokens in enumerate(docs)]
+    words = {word for probe in probes for word in probe}
+    for corpus in (Corpus(documents), Corpus(documents, words)):
+        for clone in PARITY_CLONES:
+            copied = clone(corpus)
+            for probe in probes:
+                assert count_corpus(copied, *probe) == brute_force_cells(documents, *probe)

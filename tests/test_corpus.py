@@ -81,6 +81,11 @@ class TestDocument:
         assert "terms" not in repr(doc)
         assert doc.terms == frozenset({"a", "b"})
 
+    def test_stores_only_its_id_and_tokens(self):
+        doc = Document("1", ["a", "b", "a"])
+        assert vars(doc).keys() == {"id", "tokens"}
+        assert doc.as_dict() == {"id": "1", "tokens": ("a", "b", "a")}
+
     @pytest.mark.parametrize("tokens", ["apple pie", np.str_("apple pie")], ids=["str", "numpy-str"])
     def test_rejects_one_str_as_its_tokens(self, tokens):
         # a str is a sequence of characters: each would count as a word
@@ -223,6 +228,20 @@ class TestCorpus:
         assert count_corpus(copied, "a", "b", "x") == counted
         with pytest.raises(InvalidInput, match="'absent'"):
             count_corpus(copied, "a", "b", "absent")
+
+    @pytest.mark.parametrize("name, value", [("terms", None), ("_postings", {}), ("_bitmaps", {"a": 0})])
+    def test_attributes_cannot_be_assigned_or_deleted(self, name, value):
+        corpus = Corpus(self.DOCS, ("a", "b", "x"))
+        assert vars(corpus).keys() == {"terms", "_postings", "_bitmaps"}
+        before = count_corpus(corpus, "a", "b", "b")
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(corpus, name, value)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(corpus, name)
+        assert count_corpus(corpus, "a", "b", "b") == before
+        assert count_corpus(corpus, "a", "b", "x") == brute_force_cells(self.DOCS, "a", "b", "x")
+        with pytest.raises(InvalidInput, match="'zzz'"):
+            count_corpus(corpus, "a", "b", "zzz")
 
     def test_keeps_one_bitmap_per_distinct_term(self):
         corpus = Corpus(Document(str(i), ("a", f"w{i % 20}")) for i in range(40))

@@ -12,8 +12,7 @@ import json
 import math
 import os
 import re
-from collections import defaultdict, deque
-from itertools import chain, repeat
+from collections import defaultdict
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -21,31 +20,36 @@ from .errors import InconsistentRatios, InvalidCounts, InvalidInput, QoccError, 
 
 _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 # On ASCII text _WORD_RE matches exactly the runs of ASCII letters, so mapping
-# every other ASCII character to a space and splitting gives the same tokens.
-# Letters map to themselves: str.translate raises and clears a KeyError per call
-# for each distinct character missing from the table.
-_ASCII_SPLIT = str.maketrans({chr(c): chr(c) if chr(c).isalpha() else " " for c in range(128)})
+# A-Z to a-z and every other ASCII byte to a space, then splitting, gives the
+# same tokens as lowering and matching.  Bytes above 127 are never translated:
+# only ASCII text is encoded and read through this table.
+_ASCII_BYTES = bytes(c + 32 if 65 <= c <= 90 else c if 97 <= c <= 122 else 32 for c in range(256))
 
 
 def tokenize(raw_text: str) -> list[str]:
-    """Lowercase word tokens in order, duplicates kept, '' gives []."""
-    lowered = raw_text.lower()
-    # test the lowered text: some non-ASCII letters lowercase to ASCII (U+212A -> 'k')
+    """Lowercase word tokens in order, duplicates kept, '' gives [].
+
+    ASCII text is lowered and split in one pass through ``_ASCII_BYTES``.
+    Other text is lowered first; if that made it ASCII (U+212A lowers to
+    'k'), it takes the same pass, else the tokens are ``_WORD_RE``'s matches.
+    """
+    lowered = raw_text if raw_text.isascii() else raw_text.lower()
     if lowered.isascii():
-        return lowered.translate(_ASCII_SPLIT).split()
+        return lowered.encode().translate(_ASCII_BYTES).decode().split()
     return _WORD_RE.findall(lowered)
 
 
 def _present(raw_text: str, words: tuple[str, ...]) -> tuple[str, ...]:
     """The words that ``tokenize(raw_text)`` holds, found without listing its tokens.
 
-    Each word must be one token of itself.  The translated ASCII text is
-    runs of letters between spaces, so a word padded with a space at each
+    Each word must be one token of itself.  Text that is ASCII, or lowers to
+    ASCII, is read through ``_ASCII_BYTES`` as ``tokenize`` reads it: runs of
+    lowercase letters between spaces, so a word padded with a space at each
     end occurs in the padded text exactly where it is a whole token.
     """
-    lowered = raw_text.lower()
+    lowered = raw_text if raw_text.isascii() else raw_text.lower()
     if lowered.isascii():
-        spaced = f" {lowered.translate(_ASCII_SPLIT)} "
+        spaced = f" {lowered.encode().translate(_ASCII_BYTES).decode()} "
         return tuple(word for word in words if f" {word} " in spaced)
     found = set(_WORD_RE.findall(lowered))
     return tuple(word for word in words if word in found)
@@ -116,18 +120,16 @@ class Document(_Record):
         return frozenset(self.tokens)
 
 
-# presence flags 0/1 to the ASCII digits that int(..., 2) reads
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
 class Corpus(tuple):
     """An immutable sequence of ``Document``s that counts any probe from bitmaps.
 
-    ``__init__`` builds one posting index: each term to the indices of the
-    documents that hold it, one entry per token, so a repeated token repeats
-    its index.  The bitmap of a term is one int with one bit per document,
-    set where the document contains the term.  It is set from the term's
-    postings the first time the term is counted, then kept: n/8 bytes for
+    ``__init__`` builds one posting index in a plain loop over every token:
+    each term to the indices of the documents that hold it, one entry per
+    token, so a repeated token repeats its index.  The bitmap of a term is
+    one int with one bit per document, set where the document contains the
+    term, document 0 the highest.  The first time the term is counted, a
+    plain loop over its postings writes a "1" digit per posting into a row
+    of "0"s, which ``int(..., 2)`` reads; then it is kept: n/8 bytes for
     each distinct term counted on this corpus, never evicted.  The tuple,
     its documents and its attributes cannot change, so a kept bitmap cannot
     go stale.
@@ -141,12 +143,10 @@ class Corpus(tuple):
         return super().__new__(cls, documents)
 
     def __init__(self, documents: Iterable[Document] = (), terms: Iterable[str] | None = None) -> None:
-        tokens = [doc.tokens for doc in self]
-        # the index of each token's document: 0 len(tokens[0]) times, then 1, ...
-        owners = chain.from_iterable(map(repeat, range(len(tokens)), map(len, tokens)))
         postings: defaultdict[str, list[int]] = defaultdict(list)
-        # one list.append per token, called from map and consumed by deque: no Python loop per token
-        deque(map(list.append, map(postings.__getitem__, chain.from_iterable(tokens)), owners), maxlen=0)
+        for i, doc in enumerate(self):
+            for token in doc.tokens:
+                postings[token].append(i)
         object.__setattr__(self, "terms", None if terms is None else frozenset(terms))
         object.__setattr__(self, "_postings", postings)
         object.__setattr__(self, "_bitmaps", {})
@@ -162,10 +162,12 @@ class Corpus(tuple):
         if bits is None:
             if self.terms is not None and term not in self.terms:
                 raise InvalidInput(f"this corpus was loaded without the word {term!r}")
-            flags = bytearray(len(self))
-            deque(map(flags.__setitem__, self._postings.get(term, ()), repeat(1)), maxlen=0)
-            # the leading "0" keeps an empty corpus legal: int(b"0", 2) == 0
-            bits = self._bitmaps[term] = int(b"0" + flags.translate(_DIGITS), 2)
+            # one ASCII digit per document, document 0 first: the highest bit
+            digits = bytearray(b"0") * len(self)
+            for i in self._postings.get(term, ()):
+                digits[i] = 49  # ord("1")
+            # int() refuses no digits at all: an empty corpus counts from b"0"
+            bits = self._bitmaps[term] = int(digits or b"0", 2)
         return bits
 
 

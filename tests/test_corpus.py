@@ -63,6 +63,8 @@ class TestTokenize:
         @example("\u0130stanbul stra\u00dfe x\u00b2y")
         @example("a\x1cb\x1dc\x1ed\x1fe\x0bf\x0cg")  # str.split separators
         @example("snake_case2words")
+        @example("".join(map(chr, range(128))))  # every ASCII entry of the byte table
+        @example("ALL UPPERCASE, NO LOWER-CASE LETTER")
         @settings(max_examples=300, deadline=None)
         def check(text):
             lowered = text.lower()
@@ -242,6 +244,13 @@ class TestCorpus:
         assert count_corpus(corpus, "a", "b", "x") == brute_force_cells(self.DOCS, "a", "b", "x")
         with pytest.raises(InvalidInput, match="'zzz'"):
             count_corpus(corpus, "a", "b", "zzz")
+
+    def test_bitmap_has_document_0_as_its_highest_bit(self):
+        corpus = Corpus([Document("1", ("a", "b", "a")), Document("2", ("b",)), Document("3", ("a",))])
+        assert corpus._bitmap("a") == 0b101
+        assert corpus._bitmap("b") == 0b110
+        assert corpus._bitmap("absent") == 0
+        assert Corpus()._bitmap("a") == 0
 
     def test_keeps_one_bitmap_per_distinct_term(self):
         corpus = Corpus(Document(str(i), ("a", f"w{i % 20}")) for i in range(40))

@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).parents[1] / "tools" / "mutate.py"
 sys.path.insert(0, str(TOOL.parent))
-from mutate import Mutator  # noqa: E402
+from mutate import Mutator, read_equivalents  # noqa: E402
 
 MODULE = '''def checked(x):
     if x is None:
@@ -37,9 +39,9 @@ def files(root: Path) -> dict[Path, bytes]:
     return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
 
 
-def mutate(root: Path) -> subprocess.CompletedProcess:
+def mutate(root: Path, *options: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, str(TOOL), "src/pkg/m.py", "--root", str(root)],
+        [sys.executable, str(TOOL), "src/pkg/m.py", "--root", str(root), *options],
         capture_output=True, text=True, timeout=120,
     )
 
@@ -110,3 +112,63 @@ def test_a_blank_line_above_a_function_moves_lines_and_keeps_keys():
     after = sites(NESTED.replace("    def fits", "\n    def fits"))
     assert [site.key for site in after] == [site.key for site in before]
     assert [site.line for site in after] == [line + (line >= 7) for line, *_ in before]
+
+
+SURVIVOR = "src/pkg/m.py drop raise | checked | raise ValueError('x is None') | 0"
+KILLED = "src/pkg/m.py is -> is not | checked | x is None | 0"
+# an entry of a module that the check does not run, which it leaves alone
+ELSEWHERE = "src/pkg/other.py drop raise | f | raise KeyError | 0\n    not checked here\n"
+
+
+def equivalents(root: Path, text: str) -> None:
+    (root / "tools").mkdir()
+    (root / "tools" / "mutants_equivalent.txt").write_text(text, encoding="utf-8")
+
+
+def test_check_passes_when_the_survivors_are_the_listed_equivalents(tmp_path):
+    checkout(tmp_path, TESTS)
+    equivalents(tmp_path, f"# known\n{SURVIVOR}\n    the test never passes None\n\n{ELSEWHERE}")
+    done = mutate(tmp_path, "--check")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == "# check unlisted=0 stale=0"
+
+
+def test_check_fails_on_a_survivor_that_is_not_listed(tmp_path):
+    checkout(tmp_path, TESTS)
+    equivalents(tmp_path, ELSEWHERE)
+    done = mutate(tmp_path, "--check")
+    assert done.returncode == 1
+    assert done.stderr == (
+        "mutate: survivor not listed in tools/mutants_equivalent.txt: "
+        "src/pkg/m.py:3 drop raise | checked | raise ValueError('x is None') | 0\n"
+    )
+    assert done.stdout.splitlines()[-1] == "# check unlisted=1 stale=0"
+
+
+def test_check_fails_on_a_listed_key_that_is_not_a_survivor(tmp_path):
+    checkout(tmp_path, TESTS)
+    gone = "src/pkg/m.py < -> <= | checked | x < 0 | 0"
+    equivalents(tmp_path, f"{SURVIVOR}\n    never None\n{KILLED}\n    killed\n{gone}\n    no such site\n")
+    done = mutate(tmp_path, "--check")
+    assert done.returncode == 1
+    assert done.stderr == "".join(
+        f"mutate: listed in tools/mutants_equivalent.txt but not a survivor: {key}\n" for key in (KILLED, gone)
+    )
+    assert done.stdout.splitlines()[-1] == "# check unlisted=0 stale=2"
+
+
+@pytest.mark.parametrize("text, message", [
+    (f"{SURVIVOR}\n", ": the last key has no reason"),
+    (f"{SURVIVOR}\n{KILLED}\n    why\n", ":2: the key above has no reason"),
+    ("    why\n", ":1: a reason with no key above it"),
+    (f"{SURVIVOR}\n    why\n{SURVIVOR}\n    why\n", f":3: {SURVIVOR!r} is listed twice"),
+], ids=["last-key-alone", "key-alone", "reason-alone", "twice"])
+def test_a_malformed_equivalents_file_is_refused(tmp_path, text, message):
+    path = tmp_path / "equivalents.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path) + message)}$"):
+        read_equivalents(path)
+
+
+def test_an_absent_equivalents_file_lists_nothing(tmp_path):
+    assert read_equivalents(tmp_path / "equivalents.txt") == {}

@@ -1,6 +1,6 @@
 """Mutation sweep: which one-token changes to a module does no test notice?
 
-Usage: python tools/mutate.py MODULE [MODULE ...] [--root DIR]
+Usage: python tools/mutate.py MODULE [MODULE ...] [--root DIR] [--check]
 
 MODULE is a source file relative to ROOT, the checkout to test (by default the
 one that holds this tool), for example ``src/qocc/corpus.py``.  The tool makes
@@ -35,7 +35,17 @@ where the part after ``<line>`` keys the mutant independently of line numbers:
 module level), <node> is ``ast.unparse`` of the node before mutation, and
 <occurrence> counts the earlier sites of the same node and mutation in that
 function, from 0.  An edit elsewhere in the module moves <line> and leaves
-every key.  Standard library only.
+every key.
+
+With --check, the survivors are compared with ROOT's
+tools/mutants_equivalent.txt, the mutants known to be equivalent: each
+entry is a key line, ``<module> <mutation> | <function> | <node> |
+<occurrence>`` (a survivor line without its ``:<line>``), then one indented
+line that says why no test can tell that mutant from the module.  Entries of
+modules not named on the command line are left alone.  The tool exits 1,
+naming each on stderr, when a survivor is not listed or a listed key is not
+a survivor (its site is gone, or a test now kills it); a last ``#`` line
+counts both.  Standard library only.
 """
 from __future__ import annotations
 
@@ -63,6 +73,8 @@ KNOWN_FAILURES = (
 FLAT_DIRS = ("tests", "tools", "bench")
 # parallel pytest runs; each holds one copy of the checkout and one interpreter
 WORKERS = 2
+# the equivalent mutants that --check accepts, relative to ROOT
+EQUIVALENTS = Path("tools", "mutants_equivalent.txt")
 IGNORED = (".git", "__pycache__", "*.pyc", ".hypothesis", ".pytest_cache", ".bench_cache")
 FLIPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -94,8 +106,13 @@ class Site(NamedTuple):
     def key(self) -> tuple[str, str, str, int]:
         return self[1:]
 
+    @property
+    def label(self) -> str:
+        """The key as survivor lines and the equivalents file write it."""
+        return f"{self.mutation} | {self.function} | {self.node} | {self.occurrence}"
+
     def __str__(self) -> str:
-        return f"{self.line} {self.mutation} | {self.function} | {self.node} | {self.occurrence}"
+        return f"{self.line} {self.label}"
 
 
 class Mutator(ast.NodeTransformer):
@@ -272,13 +289,47 @@ class Sweep:
         return self.pool.submit(self._run, relative, source, tests, timeout)
 
 
+def read_equivalents(path: Path) -> dict[str, str]:
+    """Key -> reason of each entry in the equivalents file, or {} when there is none.
+
+    Blank lines and lines that start with ``#`` are skipped.  A key listed
+    twice, a key with no reason and a reason with no key raise ValueError.
+    """
+    if not path.exists():
+        return {}
+    entries: dict[str, str] = {}
+    key = None
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        if key is None:
+            if line[0].isspace():
+                raise ValueError(f"{path}:{number}: a reason with no key above it")
+            if line in entries:
+                raise ValueError(f"{path}:{number}: {line!r} is listed twice")
+            key = line
+        elif line[0].isspace():
+            entries[key], key = line.strip(), None
+        else:
+            raise ValueError(f"{path}:{number}: the key above has no reason")
+    if key is not None:
+        raise ValueError(f"{path}: the last key has no reason")
+    return entries
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="+", metavar="MODULE", help="source file relative to ROOT")
     default_root = str(Path(__file__).resolve().parents[1])
     parser.add_argument("--root", default=default_root, help="checkout to test (default: this one)")
+    parser.add_argument("--check", action="store_true", help=f"exit 1 unless the survivors are {EQUIVALENTS}'s")
     args = parser.parse_args(argv)
     root = Path(args.root).resolve()
+    try:
+        equivalents = read_equivalents(root / EQUIVALENTS) if args.check else {}
+    except ValueError as exc:
+        print(f"mutate: {exc}", file=sys.stderr)
+        return 2
     start = time.perf_counter()
     modules = [Path(name) for name in args.modules]
     sources = [(root / module).read_text(encoding="utf-8") for module in modules]
@@ -304,19 +355,31 @@ def main(argv: list[str] | None = None) -> int:
                     for i in range(len(mutator.sites))
                 ]
                 runs.append((module, mutator.sites, jobs))
-            mutants = survivors = 0
+            mutants = 0
+            # key -> line, of each survivor of every module
+            survivors: dict[str, str] = {}
             for module, sites, jobs in runs:
                 survived = [job.result()[0] for job in jobs]
                 for site, alive in zip(sites, survived):
                     if alive:
                         print(f"{module}:{site}", flush=True)
+                        survivors[f"{module} {site.label}"] = f"{module}:{site}"
                 print(f"# {module} mutants={len(sites)} survived={sum(survived)}", flush=True)
                 mutants += len(sites)
-                survivors += sum(survived)
     seconds = time.perf_counter() - start
-    killed = mutants - survivors
-    print(f"# total mutants={mutants} killed={killed} survived={survivors} seconds={seconds:.0f}")
-    return 0
+    killed = mutants - len(survivors)
+    print(f"# total mutants={mutants} killed={killed} survived={len(survivors)} seconds={seconds:.0f}")
+    if not args.check:
+        return 0
+    checked = {str(module) for module in modules}
+    unlisted = [line for key, line in survivors.items() if key not in equivalents]
+    stale = [key for key in equivalents if key.split(" ", 1)[0] in checked and key not in survivors]
+    for line in unlisted:
+        print(f"mutate: survivor not listed in {EQUIVALENTS}: {line}", file=sys.stderr)
+    for key in stale:
+        print(f"mutate: listed in {EQUIVALENTS} but not a survivor: {key}", file=sys.stderr)
+    print(f"# check unlisted={len(unlisted)} stale={len(stale)}")
+    return 1 if unlisted or stale else 0
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ import math
 
 from .corpus import _check_probability, _Record
 from .errors import InvalidInput, UnreachableTarget
-from .interference import InterferenceInterval, _model_ratio
+from .interference import InterferenceInterval, _model_ratio, _side
 
 RESIDUAL_BOUND = 1e-9
 TWO_PI = 2.0 * math.pi
@@ -54,6 +54,10 @@ class FitStrategy(enum.Enum):
     CONVEX_NO_INTERFERENCE = "convex_no_interference"
     UNDEREXTENSION_BRANCH = "underextension_branch"
     OVEREXTENSION_BRANCH = "overextension_branch"
+
+
+_STRATEGIES = {1: FitStrategy.OVEREXTENSION_BRANCH, 0: FitStrategy.CONVEX_NO_INTERFERENCE,
+               -1: FitStrategy.UNDEREXTENSION_BRANCH}
 
 
 def _check_weights_and_moduli(p_a: float, p_b: float, c: float, c_prime: float) -> None:
@@ -148,8 +152,8 @@ def mu_ab_full(mu_a: float, mu_b: float, params: ModelParams) -> float:
 
 
 def mu_ab_convex(mu_a: float, mu_b: float, p_a: float, p_b: float) -> float:
-    """(p_a mu_a + p_b mu_b) / (p_a + p_b), the no-interference limit; weights in (0, 1]."""
-    return mu_ab_cosines(mu_a, mu_b, p_a, p_b, 0.0, 0.0, 0.0, 0.0)
+    """(p_a mu_a + p_b mu_b) / (p_a + p_b), the model at zero moduli; weights in (0, 1]."""
+    return mu_ab_cosines(mu_a, mu_b, p_a, p_b, 0.0, 0.0, 1.0, 1.0)
 
 
 def context_interval(
@@ -257,8 +261,8 @@ def fit_params_constrained(
     Along it the normalization is at least p_a + p_b - 2 sqrt(p_a p_b) max(k, k')
     (k, k' the cosine coefficients of ``_coefficients``), positive for mu strictly
     inside (0, 1); through (-1, -1) it vanishes for equal measurements and
-    weights with unit moduli.  The reported strategy records where the target
-    sits relative to [min(mu_a, mu_b), max(mu_a, mu_b)].
+    weights with unit moduli.  The reported strategy records where ``_side``
+    places the target against [min(mu_a, mu_b), max(mu_a, mu_b)].
     """
     _check_fit_inputs(mu_a, mu_b, target)
     _check_weights_and_moduli(p_a, p_b, c, c_prime)
@@ -274,10 +278,4 @@ def fit_params_constrained(
     else:
         x, x_prime = 1.0, _solve_cosine(coeffs, target, 1.0, for_x=False)
     params = ModelParams(p_a, p_b, c, c_prime, math.acos(x), math.acos(x_prime))
-    if target > max(mu_a, mu_b):
-        strategy = FitStrategy.OVEREXTENSION_BRANCH
-    elif target < min(mu_a, mu_b):
-        strategy = FitStrategy.UNDEREXTENSION_BRANCH
-    else:
-        strategy = FitStrategy.CONVEX_NO_INTERFERENCE
-    return _checked_fit(coeffs, target, params, strategy)
+    return _checked_fit(coeffs, target, params, _STRATEGIES[_side(mu_a, mu_b, target)])

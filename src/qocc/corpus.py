@@ -30,28 +30,25 @@ def tokenize(raw_text: str) -> list[str]:
     """Lowercase word tokens in order, duplicates kept, '' gives [].
 
     ASCII text is lowered and split in one pass through ``_ASCII_BYTES``.
-    Other text is lowered first; if that made it ASCII (U+212A lowers to
-    'k'), it takes the same pass, else the tokens are ``_WORD_RE``'s matches.
+    Other text is lowered, and its tokens are ``_WORD_RE``'s matches.
     """
-    lowered = raw_text if raw_text.isascii() else raw_text.lower()
-    if lowered.isascii():
-        return lowered.encode().translate(_ASCII_BYTES).decode().split()
-    return _WORD_RE.findall(lowered)
+    if raw_text.isascii():
+        return raw_text.encode().translate(_ASCII_BYTES).decode().split()
+    return _WORD_RE.findall(raw_text.lower())
 
 
 def _present(raw_text: str, words: tuple[str, ...]) -> tuple[str, ...]:
     """The words that ``tokenize(raw_text)`` holds, found without listing its tokens.
 
-    Each word must be one token of itself.  Text that is ASCII, or lowers to
-    ASCII, is read through ``_ASCII_BYTES`` as ``tokenize`` reads it: runs of
-    lowercase letters between spaces, so a word padded with a space at each
-    end occurs in the padded text exactly where it is a whole token.
+    Each word must be one token of itself.  ASCII text is read through
+    ``_ASCII_BYTES`` as ``tokenize`` reads it: runs of lowercase letters
+    between spaces, so a word padded with a space at each end occurs in the
+    padded text exactly where it is a whole token.
     """
-    lowered = raw_text if raw_text.isascii() else raw_text.lower()
-    if lowered.isascii():
-        spaced = f" {lowered.encode().translate(_ASCII_BYTES).decode()} "
+    if raw_text.isascii():
+        spaced = f" {raw_text.encode().translate(_ASCII_BYTES).decode()} "
         return tuple(word for word in words if f" {word} " in spaced)
-    found = set(_WORD_RE.findall(lowered))
+    found = set(_WORD_RE.findall(raw_text.lower()))
     return tuple(word for word in words if word in found)
 
 
@@ -123,7 +120,7 @@ class Document(_Record):
 class Corpus(tuple):
     """An immutable sequence of ``Document``s that counts any probe from bitmaps.
 
-    ``__init__`` builds one posting index in a plain loop over every token:
+    ``__new__`` builds one posting index in a plain loop over every token:
     each term to the indices of the documents that hold it, one entry per
     token, so a repeated token repeats its index.  The bitmap of a term is
     one int with one bit per document, set where the document contains the
@@ -140,16 +137,15 @@ class Corpus(tuple):
     """
 
     def __new__(cls, documents: Iterable[Document] = (), terms: Iterable[str] | None = None) -> "Corpus":
-        return super().__new__(cls, documents)
-
-    def __init__(self, documents: Iterable[Document] = (), terms: Iterable[str] | None = None) -> None:
+        corpus = super().__new__(cls, documents)
         postings: defaultdict[str, list[int]] = defaultdict(list)
-        for i, doc in enumerate(self):
+        for i, doc in enumerate(corpus):
             for token in doc.tokens:
                 postings[token].append(i)
-        object.__setattr__(self, "terms", None if terms is None else frozenset(terms))
-        object.__setattr__(self, "_postings", postings)
-        object.__setattr__(self, "_bitmaps", {})
+        object.__setattr__(corpus, "terms", None if terms is None else frozenset(terms))
+        object.__setattr__(corpus, "_postings", postings)
+        object.__setattr__(corpus, "_bitmaps", {})
+        return corpus
 
     __setattr__ = _Record.__setattr__
     __delattr__ = _Record.__delattr__

@@ -61,6 +61,10 @@ class ExtensionClass(enum.Enum):
     BOUNDARY = "boundary"
 
 
+_EXTENSIONS = {1: ExtensionClass.DOUBLE_OVEREXTENSION, 0: ExtensionClass.SINGLE_EXTENSION,
+               -1: ExtensionClass.DOUBLE_UNDEREXTENSION}
+
+
 def _model_ratio(a: float, b: float, g: float, u: float, v: float, message: str) -> float:
     """(a + g*u) / (b + g*v), the model's combined probability.
 
@@ -125,19 +129,19 @@ def fits_interference_only(table: CountTable) -> bool:
     return interference_interval(table).contains(observed)
 
 
+def _side(mu_a: float, mu_b: float, t: float) -> int:
+    """+1 where t lies above max(mu_a, mu_b), -1 below min(mu_a, mu_b), 0 on or between them."""
+    return (t > max(mu_a, mu_b)) - (t < min(mu_a, mu_b))
+
+
 def classify_extension(mu_a: float, mu_b: float, mu_ab: float) -> ExtensionClass:
     """Classify mu_ab against [min(mu_a, mu_b), max(mu_a, mu_b)].
 
-    Ties within 1e-12 of either edge are BOUNDARY; observed ratios are exact
-    rationals, so ties carry meaning.
+    Ties within 1e-12 of either edge are BOUNDARY (observed ratios are exact
+    rationals, so ties carry meaning); ``_side`` places any other mu_ab.
     """
     for name, value in (("mu_a", mu_a), ("mu_b", mu_b), ("mu_ab", mu_ab)):
         _check_probability(name, value)
-    low, high = min(mu_a, mu_b), max(mu_a, mu_b)
-    if abs(mu_ab - low) <= BOUNDARY_TOL or abs(mu_ab - high) <= BOUNDARY_TOL:
+    if abs(mu_ab - min(mu_a, mu_b)) <= BOUNDARY_TOL or abs(mu_ab - max(mu_a, mu_b)) <= BOUNDARY_TOL:
         return ExtensionClass.BOUNDARY
-    if mu_ab > high:
-        return ExtensionClass.DOUBLE_OVEREXTENSION
-    if mu_ab < low:
-        return ExtensionClass.DOUBLE_UNDEREXTENSION
-    return ExtensionClass.SINGLE_EXTENSION
+    return _EXTENSIONS[_side(mu_a, mu_b, mu_ab)]

@@ -6,6 +6,7 @@ from .corpus import CountTable, ProbabilityTriple, _Record, probabilities
 from .interference import (
     ExtensionClass,
     InterferenceInterval,
+    _side,
     classify_extension,
     fits_interference_only,  # noqa: F401  bench/spans.py wraps this binding
     interference_interval,
@@ -52,8 +53,6 @@ def build_report(table: CountTable) -> AnalysisReport:
         extension=classify_extension(triple.mu_a, triple.mu_b, observed),
         interference=interval,
         interference_only_feasible=interval.contains(observed),
-        context_only_feasible=(
-            min(triple.mu_a, triple.mu_b) <= observed <= max(triple.mu_a, triple.mu_b)
-        ),
+        context_only_feasible=_side(triple.mu_a, triple.mu_b, observed) == 0,
         fit=fit_params(triple.mu_a, triple.mu_b, observed),
     )

@@ -23,7 +23,7 @@ from qocc.context_model import (
 from qocc.errors import DegenerateDenominator, InvalidInput, UnreachableTarget
 from qocc.fixtures import CONTEXT_EXAMPLES
 from qocc.hilbert import SubsetProjector, characteristic_state, identity_projector, mu_combined
-from qocc.interference import ExtensionClass, classify_extension
+from qocc.interference import DENOMINATOR_TOL, ExtensionClass, classify_extension
 
 from conftest import extract_model_params, random_web, superposition_is_degenerate
 
@@ -265,6 +265,18 @@ class TestMuAbConvex:
         # weights inside their domain whose sum still meets DENOMINATOR_TOL
         with pytest.raises(DegenerateDenominator, match="^model normalization vanished"):
             mu_ab_convex(0.2, 0.8, 1e-13, 1e-13)
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), *[st.floats(0.0, 1.0, exclude_min=True)] * 2)
+    @example(0.2, 0.8, 1e-13, 1e-13)
+    @settings(max_examples=300, deadline=None)
+    def test_is_the_clamped_weighted_mean_bit_for_bit(self, mu_a, mu_b, p_a, p_b):
+        """Zero moduli alone reach the limit: the cosines add exact zeros, whatever they are."""
+        if p_a + p_b <= DENOMINATOR_TOL:
+            with pytest.raises(DegenerateDenominator):
+                mu_ab_convex(mu_a, mu_b, p_a, p_b)
+            return
+        mean = min(1.0, max(0.0, (p_a * mu_a + p_b * mu_b) / (p_a + p_b)))
+        assert mu_ab_convex(mu_a, mu_b, p_a, p_b).hex() == mean.hex()
 
 
 class TestFitParams:

@@ -181,9 +181,9 @@ def _interval(coeffs: tuple[float, ...]) -> InterferenceInterval:
 
 
 def _normalized_weights(num: float, den: float) -> tuple[float, float]:
-    """(p_a, p_b) with p_a / p_b = num / den and max(p_a, p_b) = 1, also where num / den is inf."""
+    """(p_a, p_b) with p_a / p_b = num / den, the larger 1, the other one division: swaps are exact."""
     ratio = num / den
-    return (1.0, 1.0 / ratio or den / num) if ratio >= 1.0 else (ratio, 1.0)
+    return (1.0, den / num) if ratio >= 1.0 else (ratio, 1.0)
 
 
 def _solve_cosine(coeffs: tuple[float, ...], target: float, fixed: float, for_x: bool) -> float:

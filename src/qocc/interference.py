@@ -130,8 +130,8 @@ def fits_interference_only(table: CountTable) -> bool:
 
 
 def _side(mu_a: float, mu_b: float, t: float) -> int:
-    """+1 where t lies above max(mu_a, mu_b), -1 below min(mu_a, mu_b), 0 on or between them."""
-    return (t > max(mu_a, mu_b)) - (t < min(mu_a, mu_b))
+    """+1 where t lies above both mu_a and mu_b, -1 below both, 0 on or between them."""
+    return (t > mu_a and t > mu_b) - (t < mu_a and t < mu_b)
 
 
 def classify_extension(mu_a: float, mu_b: float, mu_ab: float) -> ExtensionClass:

@@ -112,9 +112,8 @@ def check_complement(table):
     if isinstance(triple, type):
         assert mirror_triple is triple
         return
-    ratios, mirror_ratios = (
-        (t.mu_a, t.mu_b, t.mu_ab_observed) for t in (triple, mirror_triple)
-    )
+    ratios = (triple.mu_a, triple.mu_b, triple.mu_ab_observed)
+    mirror_ratios = (mirror_triple.mu_a, mirror_triple.mu_b, mirror_triple.mu_ab_observed)
     assert classify_extension(*mirror_ratios) is MIRRORED[classify_extension(*ratios)]
     assert _side(*mirror_ratios) == -_side(*ratios)
 

@@ -40,7 +40,7 @@ MIRRORED = {
     ExtensionClass.SINGLE_EXTENSION: ExtensionClass.SINGLE_EXTENSION,
     ExtensionClass.BOUNDARY: ExtensionClass.BOUNDARY,
 }
-ITEM_6 = "the report decides ties from rounded ratios with an absolute window (ROADMAP item 6)"
+ROUNDED_DECISIONS = "the report decides near ties from rounded ratios and a 1e-12 window"
 
 
 @st.composite
@@ -159,7 +159,7 @@ class TestComplementX:
     def test_interval_and_extension_mirror(self, table):
         check_complement(table)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_6)
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=ROUNDED_DECISIONS)
     @pytest.mark.parametrize("table", [
         # mu_ab - mu_a rounds to just under 1e-12 (boundary), its complement to just over (under)
         CountTable(1000000714030, 1000000714030, 1000000714030, 459298089017, 435865641456, 459298089018),

@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +258,29 @@ class TestCorpus:
             for i in range(16):
                 count_corpus(corpus, "a", "b", f"w{i}")
         assert len(corpus._bitmaps) == 18
+
+    @pytest.mark.parametrize("n, itemsize", [(65536, 2), (65537, 4)])
+    def test_index_entries_widen_past_65536_documents(self, n, itemsize):
+        """Document numbers take 2 bytes up to 65,536 documents and 4 above; counts match either way."""
+        documents = [Document(str(i), ("a",)) for i in range(n - 1)] + [Document("last", ("x",))]
+        corpus = Corpus(documents)
+        for terms in (("a", "b", "x"), ("x", "x", "a")):
+            assert count_corpus(corpus, *terms) == brute_force_cells(documents, *terms)
+        assert corpus._postings["x"].tolist() == [n - 1]
+        assert {entries.itemsize for entries in corpus._postings.values()} == {itemsize}
+
+    def test_index_takes_at_most_3_bytes_per_token(self):
+        """200,000 tokens over 5 words: a list-based index would take over 8 bytes per token."""
+        words = ("a", "b", "x", "y", "z")
+        documents = [Document(str(i), [words[(i + j) % 5] for j in range(100)]) for i in range(2000)]
+        tracemalloc.start()
+        try:
+            corpus = Corpus(documents)
+            allocated, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(corpus) == 2000
+        assert allocated / 200_000 <= 3
 
 
 class TestThreeTermCounts:

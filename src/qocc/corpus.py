@@ -126,14 +126,14 @@ class Corpus(tuple):
     each term to an ``array`` of the indices of the documents that hold it,
     one entry per token, so a repeated token repeats its index.  An entry
     takes 2 bytes (typecode "H") on a corpus of up to 65,536 documents and
-    4 bytes ("I") above, against 8 for a ``list`` slot.  The bitmap of a term is
-    one int with one bit per document, set where the document contains the
-    term, document 0 the highest.  The first time the term is counted, a
-    plain loop over its postings writes a "1" digit per posting into a row
-    of "0"s, which ``int(..., 2)`` reads; then it is kept: n/8 bytes for
-    each distinct term counted on this corpus, never evicted.  The tuple,
-    its documents and its attributes cannot change, so a kept bitmap cannot
-    go stale.
+    4 bytes ("I") above, against 8 for a ``list`` slot.  The bitmap of a
+    term is one int with one bit per document, set where the document
+    contains the term, document 0 the highest.  The first time the term is
+    counted, a plain loop over its postings writes a "1" digit per posting
+    into a row of "0"s, which ``int(..., 2)`` reads; then it is kept: n/8
+    bytes for each distinct term counted on this corpus, never evicted.  The
+    tuple, its documents and its attributes cannot change, so a kept bitmap
+    cannot go stale.
 
     ``terms`` is None, or the only words this corpus may count: a corpus that
     ``load_corpus`` read for given words holds no others, so counting another

@@ -45,12 +45,11 @@ from .interference import (
     ExtensionClass,
     InterferenceInterval,
     classify_extension,
-    fits_interference_only,
     interference_interval,
     mu_ab_interference,
     mu_ab_interference_sums,
 )
-from .report import AnalysisReport, build_report
+from .report import AnalysisReport, build_report, fits_interference_only
 
 __version__ = "0.1.0"
 

@@ -45,12 +45,12 @@ def _present(raw_text: str, words: tuple[str, ...]) -> tuple[str, ...]:
     Each word must be one token of itself.  ASCII text is read through
     ``_ASCII_BYTES`` as ``tokenize`` reads it: runs of lowercase letters
     between spaces, so a word padded with a space at each end occurs in the
-    padded text exactly where it is a whole token.
+    padded text exactly where it is a whole token.  Other text is tokenized.
     """
     if raw_text.isascii():
         spaced = f" {raw_text.encode().translate(_ASCII_BYTES).decode()} "
         return tuple(word for word in words if f" {word} " in spaced)
-    found = set(_WORD_RE.findall(raw_text.lower()))
+    found = set(tokenize(raw_text))
     return tuple(word for word in words if word in found)
 
 
@@ -137,10 +137,13 @@ class Corpus(tuple):
 
     ``terms`` is None, or the only words this corpus may count: a corpus that
     ``load_corpus`` read for given words holds no others, so counting another
-    raises InvalidInput instead of giving a silent 0.
+    raises InvalidInput instead of giving a silent 0.  ``terms`` are read as
+    ``load_corpus`` reads them: one str, or a term that is not one token of
+    itself, raises InvalidInput.
     """
 
     def __new__(cls, documents: Iterable[Document] = (), terms: Iterable[str] | None = None) -> "Corpus":
+        terms = None if terms is None else frozenset(_words(terms))
         corpus = super().__new__(cls, documents)
         # document numbers 0 to 65535 fit in 2 bytes, and any above in 4
         typecode = "H" if len(corpus) <= 65536 else "I"
@@ -151,7 +154,7 @@ class Corpus(tuple):
             index = array(typecode, (i,)).tobytes()
             for token in doc.tokens:
                 postings[token].frombytes(index)
-        object.__setattr__(corpus, "terms", None if terms is None else frozenset(terms))
+        object.__setattr__(corpus, "terms", terms)
         object.__setattr__(corpus, "_postings", postings)
         object.__setattr__(corpus, "_bitmaps", {})
         return corpus

@@ -122,13 +122,6 @@ def interference_interval(table: CountTable) -> InterferenceInterval:
     return InterferenceInterval(max(0.0, raw_lo), min(1.0, raw_hi), raw_lo, raw_hi)
 
 
-def fits_interference_only(table: CountTable) -> bool:
-    """Whether the observed n_abx/n_ab is attainable by phases alone."""
-    _check_marginals(table, "n_ab")
-    observed = table.n_abx / table.n_ab
-    return interference_interval(table).contains(observed)
-
-
 def _side(mu_a: float, mu_b: float, t: float) -> int:
     """+1 where t lies above both mu_a and mu_b, -1 below both, 0 on or between them."""
     return (t > mu_a and t > mu_b) - (t < mu_a and t < mu_b)

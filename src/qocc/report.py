@@ -2,13 +2,12 @@
 from __future__ import annotations
 
 from .context_model import FitResult, fit_params
-from .corpus import CountTable, ProbabilityTriple, _Record, probabilities
+from .corpus import CountTable, ProbabilityTriple, _check_marginals, _Record, probabilities
 from .interference import (
     ExtensionClass,
     InterferenceInterval,
     _side,
     classify_extension,
-    fits_interference_only,  # noqa: F401  bench/spans.py wraps this binding
     interference_interval,
 )
 
@@ -56,3 +55,10 @@ def build_report(table: CountTable) -> AnalysisReport:
         context_only_feasible=_side(triple.mu_a, triple.mu_b, observed) == 0,
         fit=fit_params(triple.mu_a, triple.mu_b, observed),
     )
+
+
+def fits_interference_only(table: CountTable) -> bool:
+    """Whether the observed n_abx/n_ab is attainable by phases alone: ``interference_only_feasible``."""
+    _check_marginals(table, "n_ab")
+    observed = table.n_abx / table.n_ab
+    return interference_interval(table).contains(observed)

@@ -27,7 +27,8 @@ from qocc.corpus import Corpus, CountTable, Document, count_corpus, marginals, p
 from qocc.errors import DegenerateDenominator
 from qocc.fixtures import CONTEXT_EXAMPLES, INTERFERENCE_FEASIBLE, ROWS, exemplar_table
 from qocc.hilbert import born_probability, identity_projector, mu_combined, project
-from qocc.interference import fits_interference_only, interference_interval, mu_ab_interference
+from qocc.interference import interference_interval, mu_ab_interference
+from qocc.report import fits_interference_only
 
 from conftest import brute_force_cells, extract_model_params, random_web, superposition_is_degenerate
 

@@ -4,8 +4,9 @@
 replaces each ``(module, attribute)`` of ``SPANNED`` and ``COUNTED`` with a
 wrapper, and raises AttributeError if one is missing.  Renaming a function, or
 dropping an import from a module listed there, breaks the traced benchmark run
-without failing any other test.  That is why ``qocc.report`` imports
-``fits_interference_only`` without calling it: the tracer wraps that binding.
+without failing any other test.  ``qocc.report`` defines
+``fits_interference_only`` beside ``build_report``, which states the same fact
+without calling it: the tracer wraps that binding, and its span never fires.
 A binding that still resolves but is no longer called loses its span, and the
 traced run then writes a NaN median for every per-layer figure it feeds.
 """

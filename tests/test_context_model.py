@@ -1,6 +1,7 @@
 """Six-parameter combined model: evaluation, intervals, and fitting."""
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -211,6 +212,18 @@ class TestContextInterval:
             mu_a, mu_b, p_a, p_b, c, c_prime = random_setting(rng)
             interval = context_interval(mu_a, mu_b, p_a, p_b, c, c_prime)
             assert interval.lo <= interval.hi
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 5: the endpoint's normalization 1 - (1 - m) c' cancels near mu = 0",
+    )
+    @pytest.mark.parametrize("m, c_prime", [(3e-12, 1.0), (1e-12, 0.999999999999)])
+    def test_endpoints_near_zero_probability(self, m, c_prime):
+        """At mu_a = mu_b = m, p_a = p_b = 1 and c = 0 the endpoints are m / (1 +- (1 - m) c')."""
+        interval = context_interval(m, m, 1.0, 1.0, 0.0, c_prime)
+        spread = (1 - Fraction(m)) * Fraction(c_prime)
+        assert interval.lo == pytest.approx(float(Fraction(m) / (1 + spread)), rel=1e-9)
+        assert interval.hi == pytest.approx(float(Fraction(m) / (1 - spread)), rel=1e-9)
 
     @pytest.mark.parametrize(
         "p_a, p_b, c, c_prime",

@@ -221,15 +221,26 @@ class TestCorpus:
         assert count_corpus(copied, "a", "b", "x") == counted
         for terms in (("x", "a", "b"), ("b", "b", "absent")):
             assert count_corpus(copied, *terms) == brute_force_cells(self.DOCS, *terms)
-        # a corpus of given words keeps refusing any other
-        restricted = Corpus(self.DOCS, ("a", "b", "x"))
+        # a corpus of given words keeps them as plain words, and keeps refusing any other
+        restricted = Corpus(self.DOCS, ("a", np.str_("b"), "x", "a"))
         counted = count_corpus(restricted, "a", "b", "x")
         copied = clone(restricted)
         assert copied.terms == frozenset({"a", "b", "x"})
+        assert {type(term) for term in copied.terms} == {str}
         assert count_corpus(copied, "x", "b", np.str_("a")) == brute_force_cells(self.DOCS, "x", "b", "a")
         assert count_corpus(copied, "a", "b", "x") == counted
         with pytest.raises(InvalidInput, match="'absent'"):
             count_corpus(copied, "a", "b", "absent")
+
+    @pytest.mark.parametrize(
+        "terms, message",
+        [("ab", "terms must be a sequence of words, not one str"),
+         (["a", "Apple"], "term 'Apple' is not one word as tokenize gives it")],
+        ids=["one-str", "not-a-token"],
+    )
+    def test_refuses_the_terms_load_corpus_refuses(self, terms, message):
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            Corpus(self.DOCS, terms)
 
     @pytest.mark.parametrize("name, value", [("terms", None), ("_postings", {}), ("_bitmaps", {"a": 0})])
     def test_attributes_cannot_be_assigned_or_deleted(self, name, value):

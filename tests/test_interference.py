@@ -18,11 +18,11 @@ from qocc.interference import (
     ExtensionClass,
     InterferenceInterval,
     classify_extension,
-    fits_interference_only,
     interference_interval,
     mu_ab_interference,
     mu_ab_interference_sums,
 )
+from qocc.report import fits_interference_only
 
 from conftest import random_web, superposition_is_degenerate
 

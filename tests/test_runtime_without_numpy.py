@@ -1,7 +1,9 @@
 """The library and CLI run without numpy; only the oracle ``qocc.hilbert`` needs it.
 
-The CLI's cold import also leaves out ``dataclasses`` and the bundled dataset.
+The CLI's cold import also leaves out ``dataclasses`` and the bundled dataset,
+and no module of the package imports a name it does not read.
 """
+import ast
 import json
 import os
 import subprocess
@@ -90,3 +92,20 @@ def test_cli_output_is_the_same_with_numpy_blocked(tmp_path):
 def test_every_exported_name_resolves():
     for name in qocc.__all__:
         assert getattr(qocc, name) is not None, name
+
+
+MODULES = sorted(path for path in Path(qocc.__file__).parent.glob("*.py") if path.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_reads_every_name_it_imports(path):
+    """A name imported at module level and never read is kept for something outside the package."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported - read == set()

@@ -38,9 +38,13 @@ EXIT_TABLE1_DEVIATION = 5
 EXIT_FIT_DOMAIN = 6
 
 
+# the encoder json.dumps builds on every call with these arguments, built once
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj) -> str:
     """Stable byte-for-byte JSON: sorted keys, no insignificant whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL_ENCODER.encode(obj)
 
 
 def sci3(value: float) -> str:

@@ -41,7 +41,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .corpus import _check_probability, _Record
+from .corpus import _outside_unit, _Record
 from .errors import InvalidInput, UnreachableTarget
 from .interference import InterferenceInterval, _model_ratio, _side
 
@@ -61,12 +61,14 @@ _STRATEGIES = {1: FitStrategy.OVEREXTENSION_BRANCH, 0: FitStrategy.CONVEX_NO_INT
 
 
 def _check_weights_and_moduli(p_a: float, p_b: float, c: float, c_prime: float) -> None:
-    for name, value in (("p_a", p_a), ("p_b", p_b)):
-        if not 0.0 < value <= 1.0:
-            raise InvalidInput(f"{name}={value!r} must be in (0, 1]")
-    for name, value in (("c", c), ("c_prime", c_prime)):
-        if not 0.0 <= value <= 1.0:
-            raise InvalidInput(f"{name}={value!r} must be in [0, 1]")
+    if not 0.0 < p_a <= 1.0:
+        raise InvalidInput(f"p_a={p_a!r} must be in (0, 1]")
+    if not 0.0 < p_b <= 1.0:
+        raise InvalidInput(f"p_b={p_b!r} must be in (0, 1]")
+    if not 0.0 <= c <= 1.0:
+        raise InvalidInput(f"c={c!r} must be in [0, 1]")
+    if not 0.0 <= c_prime <= 1.0:
+        raise InvalidInput(f"c_prime={c_prime!r} must be in [0, 1]")
 
 
 class ModelParams(_Record):
@@ -101,8 +103,10 @@ class FitResult(_Record):
 
 def _check_arguments(mu_a: float, mu_b: float, p_a: float, p_b: float, c: float, c_prime: float) -> None:
     _check_weights_and_moduli(p_a, p_b, c, c_prime)
-    _check_probability("mu_a", mu_a)
-    _check_probability("mu_b", mu_b)
+    if not 0.0 <= mu_a <= 1.0:
+        raise _outside_unit("mu_a", mu_a)
+    if not 0.0 <= mu_b <= 1.0:
+        raise _outside_unit("mu_b", mu_b)
 
 
 def _coefficients(
@@ -119,9 +123,13 @@ def _coefficients(
 
 
 def _mu(coeffs: tuple[float, ...], x: float, x_prime: float) -> float:
-    """The model at cosines (x, x') from ``_coefficients``, clamped to [0, 1]."""
+    """The model at cosines (x, x') from ``_coefficients``, clamped to [0, 1].
+
+    The clamp keeps what ``min(1.0, max(0.0, mu))`` gives: -0.0 and NaN read 0.0.
+    """
     a, b, g, k, k_prime = coeffs
-    return min(1.0, max(0.0, _model_ratio(a, b, g, k * x, k * x + k_prime * x_prime, _VANISHED)))
+    mu = _model_ratio(a, b, g, k * x, k * x + k_prime * x_prime, _VANISHED)
+    return (mu if mu < 1.0 else 1.0) if mu > 0.0 else 0.0
 
 
 def mu_ab_cosines(
@@ -190,21 +198,25 @@ def _solve_cosine(coeffs: tuple[float, ...], target: float, fixed: float, for_x:
     """The cosine x (for_x) or x' at which mu_ab = target, the other one held at fixed.
 
     With the denominator cleared, mu_ab = target reads
-    (a - target*b) + slope_x*x + slope_x_prime*x' = 0; the root is clipped to [-1, 1].
+    (a - target*b) + slope_x*x + slope_x_prime*x' = 0; the root is clipped to
+    [-1, 1] as ``min(1.0, max(-1.0, root))`` clips it: -0.0 stays, NaN reads -1.0.
     """
     a, b, g, k, k_prime = coeffs
     slope_x, slope_x_prime = g * k * (1.0 - target), -g * k_prime * target
     slope, other = (slope_x, slope_x_prime) if for_x else (slope_x_prime, slope_x)
     if slope == 0.0:
         return 0.0  # c = 0, c' = 0 or target in {0, 1}: the equation ignores this cosine
-    return min(1.0, max(-1.0, -(a - target * b + other * fixed) / slope))
+    root = -(a - target * b + other * fixed) / slope
+    return (root if root < 1.0 else 1.0) if root > -1.0 else -1.0
 
 
 def _check_fit_inputs(mu_a: float, mu_b: float, target: float) -> None:
-    for name, value in (("mu_a", mu_a), ("mu_b", mu_b)):
-        if not 0.0 < value < 1.0:
-            raise InvalidInput(f"{name}={value!r} must be strictly inside (0, 1)")
-    _check_probability("target", target)
+    if not 0.0 < mu_a < 1.0:
+        raise InvalidInput(f"mu_a={mu_a!r} must be strictly inside (0, 1)")
+    if not 0.0 < mu_b < 1.0:
+        raise InvalidInput(f"mu_b={mu_b!r} must be strictly inside (0, 1)")
+    if not 0.0 <= target <= 1.0:
+        raise _outside_unit("target", target)
 
 
 def _checked_fit(
@@ -224,7 +236,7 @@ def fit_params(mu_a: float, mu_b: float, target: float) -> FitResult:
     cases are the module docstring's.  Targets 0 and 1 sit exactly at phase pi.
     """
     _check_fit_inputs(mu_a, mu_b, target)
-    low, high = min(mu_a, mu_b), max(mu_a, mu_b)
+    low, high = (mu_a, mu_b) if mu_a < mu_b else (mu_b, mu_a)
     if low < target < high or mu_a == mu_b == target:
         # convex combination alone: p_a / p_b = (mu_b - target) / (target - mu_a)
         p_a, p_b = (1.0, 1.0) if mu_a == mu_b else _normalized_weights(mu_b - target, target - mu_a)

@@ -290,9 +290,9 @@ def _count_text(value: int) -> str:
         return f"an integer of {value.bit_length()} bits"
 
 
-def _check_probability(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise InvalidInput(f"{name}={value!r} is outside [0, 1]")
+def _outside_unit(name: str, value: float) -> InvalidInput:
+    """The error for a probability outside [0, 1]; each check is one comparison written where it runs."""
+    return InvalidInput(f"{name}={value!r} is outside [0, 1]")
 
 
 def _check_count(name: str, value: int) -> None:
@@ -377,14 +377,14 @@ class CountTable(_Record):
         cells["n_abx"] = n_abx
         for name, value in cells.items():
             _check_count(name, value)
-        if self.n_ab > min(self.n_a, self.n_b):
-            raise InvalidCounts(f"n_ab={self.n_ab} exceeds min(n_a, n_b)")
-        if self.n_ax > self.n_a:
-            raise InvalidCounts(f"n_ax={self.n_ax} exceeds n_a={self.n_a}")
-        if self.n_bx > self.n_b:
-            raise InvalidCounts(f"n_bx={self.n_bx} exceeds n_b={self.n_b}")
-        if self.n_abx > self.n_ab:
-            raise InvalidCounts(f"n_abx={self.n_abx} exceeds n_ab={self.n_ab}")
+        if n_ab > n_a or n_ab > n_b:
+            raise InvalidCounts(f"n_ab={n_ab} exceeds min(n_a, n_b)")
+        if n_ax > n_a:
+            raise InvalidCounts(f"n_ax={n_ax} exceeds n_a={n_a}")
+        if n_bx > n_b:
+            raise InvalidCounts(f"n_bx={n_bx} exceeds n_b={n_b}")
+        if n_abx > n_ab:
+            raise InvalidCounts(f"n_abx={n_abx} exceeds n_ab={n_ab}")
 
     @property
     def n_ax_prime(self) -> int:
@@ -480,7 +480,8 @@ def table_from_ratios(
             raise InconsistentRatios(f"total {name} must be positive, got {total}")
     try:
         for name, ratio in (("mu_a", mu_a), ("mu_b", mu_b), ("mu_ab", mu_ab)):
-            _check_probability(f"ratio {name}", ratio)
+            if not 0.0 <= ratio <= 1.0:
+                raise _outside_unit(f"ratio {name}", ratio)
         return CountTable(
             n_a=n_a,
             n_b=n_b,

@@ -25,7 +25,7 @@ import enum
 import math
 from collections.abc import Sequence
 
-from .corpus import CountTable, _check_marginals, _check_probability, _Record
+from .corpus import CountTable, _check_marginals, _outside_unit, _Record
 from .errors import DegenerateDenominator, InvalidInput
 
 DENOMINATOR_TOL = 1e-12
@@ -118,8 +118,11 @@ def interference_interval(table: CountTable) -> InterferenceInterval:
     d = table.n_abx - table.n_abx_prime
     message = "|n_abx - n_abx'| reaches sqrt(n_a * n_b); the extremal ratio is singular"
     raw_lo, raw_hi = _count_ratios(table, message, (-table.n_abx, -d), (table.n_abx, d))
-    # raw_lo <= 1 (a / 2 <= 1, d <= k) and raw_hi >= 0 (a, k >= 0) hold for every table
-    return InterferenceInterval(max(0.0, raw_lo), min(1.0, raw_hi), raw_lo, raw_hi)
+    # raw_lo <= 1 (a / 2 <= 1, d <= k) and raw_hi >= 0 (a, k >= 0) hold for every table;
+    # the clamps keep max(0.0, raw_lo) and min(1.0, raw_hi): -0.0 reads 0.0, NaN 0.0 and 1.0
+    lo = raw_lo if raw_lo > 0.0 else 0.0
+    hi = raw_hi if raw_hi < 1.0 else 1.0
+    return InterferenceInterval(lo, hi, raw_lo, raw_hi)
 
 
 def _side(mu_a: float, mu_b: float, t: float) -> int:
@@ -133,8 +136,12 @@ def classify_extension(mu_a: float, mu_b: float, mu_ab: float) -> ExtensionClass
     Ties within 1e-12 of either edge are BOUNDARY (observed ratios are exact
     rationals, so ties carry meaning); ``_side`` places any other mu_ab.
     """
-    for name, value in (("mu_a", mu_a), ("mu_b", mu_b), ("mu_ab", mu_ab)):
-        _check_probability(name, value)
-    if abs(mu_ab - min(mu_a, mu_b)) <= BOUNDARY_TOL or abs(mu_ab - max(mu_a, mu_b)) <= BOUNDARY_TOL:
+    if not 0.0 <= mu_a <= 1.0:
+        raise _outside_unit("mu_a", mu_a)
+    if not 0.0 <= mu_b <= 1.0:
+        raise _outside_unit("mu_b", mu_b)
+    if not 0.0 <= mu_ab <= 1.0:
+        raise _outside_unit("mu_ab", mu_ab)
+    if abs(mu_ab - mu_a) <= BOUNDARY_TOL or abs(mu_ab - mu_b) <= BOUNDARY_TOL:
         return ExtensionClass.BOUNDARY
     return _EXTENSIONS[_side(mu_a, mu_b, mu_ab)]

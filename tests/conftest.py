@@ -139,6 +139,23 @@ def extract_model_params(
     return mu_a, mu_b, params
 
 
+# values at the clamps' bounds, one ulp or 1e-10 past them, signed zeros,
+# subnormals, infinities and NaN: where a comparison form of a clamp could
+# part from min/max
+EDGE_FLOATS = (
+    -0.0, 0.0, math.nan, 1.0, math.nextafter(1.0, 2.0), 1.0 + 1e-10, math.nextafter(1.0, 0.0), 2.0,
+    1e-10, 5e-324, -5e-324, -1.0, math.nextafter(-1.0, -2.0), -1.0 - 1e-10, -1.0 + 1e-10, -0.5,
+    0.5, math.inf, -math.inf,
+)
+
+
+def same_float(got: float, want: float) -> bool:
+    """Bit for bit: NaN matches NaN, and -0.0 does not match 0.0."""
+    if math.isnan(want):
+        return math.isnan(got)
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20161108)

@@ -28,6 +28,11 @@ from qocc.interference import interference_interval
 from conftest import brute_force_cells
 
 
+def test_canonical_json_gives_the_bytes_of_json_dumps():
+    payload = {"b": [1.5e-300, -0.0, float("nan"), float("inf")], "a": {"\u00e9": None, "z": True}, "": 1}
+    assert canonical_json(payload) == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()

@@ -14,6 +14,8 @@ from qocc.context_model import (
     ModelParams,
     _checked_fit,
     _coefficients,
+    _mu,
+    _solve_cosine,
     context_interval,
     fit_params,
     fit_params_constrained,
@@ -26,7 +28,7 @@ from qocc.fixtures import CONTEXT_EXAMPLES
 from qocc.hilbert import SubsetProjector, characteristic_state, identity_projector, mu_combined
 from qocc.interference import DENOMINATOR_TOL, ExtensionClass, classify_extension
 
-from conftest import extract_model_params, random_web, superposition_is_degenerate
+from conftest import EDGE_FLOATS, extract_model_params, random_web, same_float, superposition_is_degenerate
 
 
 def random_setting(rng):
@@ -185,6 +187,58 @@ ONE_UP = math.nextafter(1.0, 2.0)
 def test_evaluators_reject_arguments_outside_their_domains(evaluator, args, message):
     with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
         evaluator(*args)
+
+
+TINY = 1e-10  # inside (0, 1e-9): a check whose 0 moved up to 1e-9 would refuse it
+ONE_DOWN = math.nextafter(1.0, 0.0)
+UNIT = ((0.0, None), (1.0, None), (-5e-324, "is outside [0, 1]"), (ONE_UP, "is outside [0, 1]"))
+WEIGHT = ((TINY, None), (1.0, None), (0.0, "must be in (0, 1]"), (ONE_UP, "must be in (0, 1]"))
+MODULUS = ((0.0, None), (1.0, None), (-5e-324, "must be in [0, 1]"), (ONE_UP, "must be in [0, 1]"))
+INSIDE = ((TINY, None), (ONE_DOWN, None), (0.0, "must be strictly inside (0, 1)"),
+          (1.0, "must be strictly inside (0, 1)"))
+
+
+def domain_cases(call, valid, names, domains):
+    """(call, args, message) with one argument at each edge of its domain; message None accepts."""
+    for index, (name, domain) in enumerate(zip(names, domains)):
+        for value, rule in domain:
+            args = valid[:index] + (value,) + valid[index + 1:]
+            yield pytest.param(call, args, rule and f"{name}={value!r} {rule}",
+                               id=f"{call.__name__}-{name}={value!r}")
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        *domain_cases(context_interval, (0.5,) * 6, ("mu_a", "mu_b", "p_a", "p_b", "c", "c_prime"),
+                      (UNIT, UNIT, WEIGHT, WEIGHT, MODULUS, MODULUS)),
+        *domain_cases(fit_params, (0.3, 0.4, 0.35), ("mu_a", "mu_b", "target"), (INSIDE, INSIDE, UNIT)),
+        *domain_cases(classify_extension, (0.3, 0.5, 0.4), ("mu_a", "mu_b", "mu_ab"), (UNIT, UNIT, UNIT)),
+        # every argument outside: the first one checked is named; context_interval checks weights first
+        (context_interval, (2.0,) * 6, "p_a=2.0 must be in (0, 1]"),
+        (fit_params, (2.0,) * 3, "mu_a=2.0 must be strictly inside (0, 1)"),
+        (classify_extension, (2.0,) * 3, "mu_a=2.0 is outside [0, 1]"),
+    ],
+)
+def test_checks_reach_each_edge_of_each_domain(call, args, message):
+    if message is None:
+        call(*args)
+    else:
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            call(*args)
+
+
+@pytest.mark.parametrize("ratio", EDGE_FLOATS)
+def test_mu_clamps_as_min_and_max_do(ratio):
+    # a = ratio, b = g = 1, k = k' = 0 at x = -1: the numerator is ratio + -0.0, ratio itself
+    assert same_float(_mu((ratio, 1.0, 1.0, 0.0, 0.0), -1.0, 0.0), min(1.0, max(0.0, ratio)))
+
+
+@pytest.mark.parametrize("root", EDGE_FLOATS)
+def test_solve_cosine_clips_as_min_and_max_do(root):
+    # at target 0 with x' held at 0, the root for x is -a / (g k) = -a
+    coeffs = (-root, 1.0, 1.0, 1.0, 1.0)
+    assert same_float(_solve_cosine(coeffs, 0.0, 0.0, for_x=True), min(1.0, max(-1.0, root)))
 
 
 class TestContextInterval:

@@ -396,6 +396,12 @@ class TestCountTable:
         with pytest.raises(InvalidCounts):
             CountTable(n_a=5, n_b=10, n_ab=6, n_ax=0, n_bx=0, n_abx=0)
 
+    @pytest.mark.parametrize("n_a, n_b", [(5, 10), (10, 5)])
+    def test_nab_reaches_the_smaller_total_and_no_further(self, n_a, n_b):
+        assert CountTable(n_a=n_a, n_b=n_b, n_ab=5, n_ax=0, n_bx=0, n_abx=0).n_ab == 5
+        with pytest.raises(InvalidCounts, match=r"^n_ab=6 exceeds min\(n_a, n_b\)$"):
+            CountTable(n_a=n_a, n_b=n_b, n_ab=6, n_ax=0, n_bx=0, n_abx=0)
+
     def test_cross_marginal_excess_is_flagged_not_rejected(self):
         # counts from external search engines can report n_abx > n_ax
         table = CountTable(n_a=100, n_b=100, n_ab=50, n_ax=10, n_bx=40, n_abx=30)

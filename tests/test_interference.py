@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qocc import interference
 from qocc.context_model import context_interval, mu_ab_cosines
 from qocc.corpus import CountTable
 from qocc.errors import DegenerateDenominator, InvalidInput, ZeroDenominator
@@ -24,7 +25,7 @@ from qocc.interference import (
 )
 from qocc.report import fits_interference_only
 
-from conftest import random_web, superposition_is_degenerate
+from conftest import EDGE_FLOATS, random_web, same_float, superposition_is_degenerate
 
 # Interval endpoints recomputed from the bundled dataset's integer counts
 # with 40-digit arithmetic, frozen here as an independent numerical oracle.
@@ -219,6 +220,14 @@ class TestInterferenceInterval:
         interval = interference_interval(table)
         assert (interval.raw_lo, interval.raw_hi) == pytest.approx((raw_lo, raw_hi), abs=1e-15)
         assert (interval.lo, interval.hi) == pytest.approx((lo, hi), abs=1e-15)
+
+    @pytest.mark.parametrize("raw", EDGE_FLOATS)
+    def test_clamps_keep_what_min_and_max_give(self, monkeypatch, raw):
+        # integer counts never give a -0.0 or NaN endpoint, so the ratios are set by hand
+        monkeypatch.setattr(interference, "_count_ratios", lambda *args: [raw, raw])
+        interval = interference_interval(CountTable(10, 10, 5, 5, 5, 2))
+        assert same_float(interval.lo, max(0.0, raw)) and same_float(interval.hi, min(1.0, raw))
+        assert same_float(interval.raw_lo, raw) and same_float(interval.raw_hi, raw)
 
     def test_contains_reaches_exactly_the_slack(self):
         # endpoints at 0 and 1e-12: there one ulp is far below a relative 1e-9 change of the slack

@@ -1,7 +1,8 @@
 """The library and CLI run without numpy; only the oracle ``qocc.hilbert`` needs it.
 
 The CLI's cold import also leaves out ``dataclasses`` and the bundled dataset,
-and no module of the package imports a name it does not read.
+no module of the package imports a name it does not read, and the functions
+every report and fit runs clamp and order without builtin ``min``/``max`` calls.
 """
 import ast
 import json
@@ -109,3 +110,26 @@ def test_module_reads_every_name_it_imports(path):
     }
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported - read == set()
+
+
+# Functions each report, fit or context interval runs, where a builtin min or
+# max call costs more than the comparisons that clamp or order with it.
+PER_CALL = {
+    "context_model.py": ("_mu", "_solve_cosine", "fit_params", "fit_params_constrained"),
+    "interference.py": ("interference_interval", "classify_extension"),
+    "corpus.py": ("CountTable.__init__",),
+}
+
+
+def test_per_call_path_clamps_and_orders_without_min_or_max():
+    calling = []
+    for module, names in PER_CALL.items():
+        tree = ast.parse((Path(qocc.__file__).parent / module).read_text(encoding="utf-8"))
+        for name in names:
+            scope = tree
+            for part in name.split("."):
+                scope = next(node for node in scope.body if getattr(node, "name", None) == part)
+            called = {node.func.id for node in ast.walk(scope)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+            calling += [f"{module} {name} calls {builtin}" for builtin in sorted(called & {"min", "max"})]
+    assert calling == []

@@ -175,7 +175,8 @@ def context_interval(
     """Probability range over all phases at fixed weights and moduli.
 
     ``_interval`` takes the endpoints at (x, x') = (-1, +1) and (+1, -1), that
-    is at (u, v) = (-k, -d) and (k, d) with d = k - k', clamped to [0, 1].
+    is at (u, v) = (-k, -d) and (k, d) with d = k - k', clamped to [0, 1];
+    ``raw_lo`` and ``raw_hi`` hold the same clamped endpoints as ``lo`` and ``hi``.
     Weights and moduli must lie in the domains ``ModelParams`` enforces;
     anything else raises InvalidInput.
     """

@@ -2,8 +2,8 @@
 
 Implements:
   * StateVector: unit vectors sum_j a_j e^{i alpha_j} |e_j> over n basis pages.
-  * SubsetProjector / DenseProjector: orthogonal projectors (diagonal 0/1
-    pattern over a basis-index set, or a validated Hermitian idempotent).
+  * SubsetProjector: the orthogonal projector onto a set of basis pages, a
+    diagonal 0/1 pattern, so any two of them commute as the model assumes.
   * born_probability: <psi|M|psi>.
   * apply_context / mu_with_context: N|psi>/||N|psi>|| and the conditional
     probability <psi|N M N|psi> / <psi|N|psi>.
@@ -24,19 +24,18 @@ share code with them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Union
+import operator
+from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import QoccError
 
 NORM_TOL = 1e-12          # unit-norm acceptance for states
-PROJECTOR_TOL = 1e-10     # Hermiticity / idempotence acceptance, entrywise
 ANNIHILATION_TOL = 1e-12  # smallest surviving norm after a context projection
 CLAMP_TOL = 1e-9          # probability round-off absorbed silently
 ORACLE_PATH_TOL = 1e-12   # agreement required between the two mu routes
-DENSE_DIM_LIMIT = 64      # dense matrices are an oracle-scale device only
 
 
 class DimensionMismatch(QoccError):
@@ -88,61 +87,29 @@ class StateVector:
         return int(self.amplitudes.size)
 
 
+def _index_set(dim: int, indices: Iterable[int]) -> frozenset[int]:
+    """The page indices as a set of ints in [0, dim); a float or str index is refused."""
+    idx = frozenset(operator.index(i) for i in indices)
+    if any(i < 0 or i >= dim for i in idx):
+        raise DimensionMismatch(f"indices must lie in [0, {dim})")
+    return idx
+
+
 @dataclass(frozen=True)
 class SubsetProjector:
     """Projector onto the basis vectors indexed by ``indices`` (0-based)."""
 
     dim: int
-    indices: frozenset[int] = field(default_factory=frozenset)
+    indices: frozenset[int]
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise DimensionMismatch("projector dimension must be >= 1")
-        idx = frozenset(int(i) for i in self.indices)
-        if any(i < 0 or i >= self.dim for i in idx):
-            raise DimensionMismatch(f"indices must lie in [0, {self.dim})")
-        object.__setattr__(self, "indices", idx)
-
-
-@dataclass(frozen=True)
-class DenseProjector:
-    """General orthogonal projector given as a Hermitian idempotent matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.array(self.matrix, dtype=np.complex128)
-        if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 1:
-            raise DimensionMismatch("projector matrix must be square and nonempty")
-        if p.shape[0] > DENSE_DIM_LIMIT:
-            raise DimensionMismatch(
-                f"dense projectors are capped at dim {DENSE_DIM_LIMIT}; "
-                "use SubsetProjector for larger spaces"
-            )
-        if not np.allclose(p, p.conj().T, rtol=0.0, atol=PROJECTOR_TOL):
-            raise NumericsError("projector matrix is not Hermitian within tolerance")
-        if not np.allclose(p @ p, p, rtol=0.0, atol=PROJECTOR_TOL):
-            raise NumericsError("projector matrix is not idempotent within tolerance")
-        p.flags.writeable = False
-        object.__setattr__(self, "matrix", p)
-
-    @property
-    def dim(self) -> int:
-        return int(self.matrix.shape[0])
-
-
-Projector = Union[SubsetProjector, DenseProjector]
+        object.__setattr__(self, "indices", _index_set(self.dim, self.indices))
 
 
 def identity_projector(dim: int) -> SubsetProjector:
     return SubsetProjector(dim, frozenset(range(dim)))
-
-
-def basis_state(dim: int, index: int) -> StateVector:
-    """|e_index> in an n-dimensional space."""
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(amps)
 
 
 def characteristic_state(
@@ -151,11 +118,9 @@ def characteristic_state(
     phases: Mapping[int, float] | None = None,
 ) -> StateVector:
     """Uniform-modulus state (1/sqrt|J|) sum_{j in J} e^{i phase_j} |e_j>."""
-    idx = sorted(int(i) for i in indices)
+    idx = sorted(_index_set(dim, indices))
     if not idx:
         raise EmptyIndexSet("characteristic state needs a nonempty index set")
-    if idx[0] < 0 or idx[-1] >= dim:
-        raise DimensionMismatch(f"indices must lie in [0, {dim})")
     amps = np.zeros(dim, dtype=np.complex128)
     scale = 1.0 / math.sqrt(len(idx))
     for j in idx:
@@ -164,30 +129,28 @@ def characteristic_state(
     return StateVector(amps)
 
 
-def _check_dims(psi: StateVector, *projectors: Projector) -> None:
+def _check_dims(psi: StateVector, *projectors: SubsetProjector) -> None:
     for proj in projectors:
         if proj.dim != psi.dim:
             raise DimensionMismatch(f"state dim {psi.dim} != projector dim {proj.dim}")
 
 
-def project(proj: Projector, vec: np.ndarray) -> np.ndarray:
+def project(proj: SubsetProjector, vec: np.ndarray) -> np.ndarray:
     """Apply the projector to a raw amplitude vector."""
-    if isinstance(proj, SubsetProjector):
-        out = np.zeros_like(vec)
-        for j in proj.indices:
-            out[j] = vec[j]
-        return out
-    return proj.matrix @ vec
+    out = np.zeros_like(vec)
+    for j in proj.indices:
+        out[j] = vec[j]
+    return out
 
 
-def born_probability(psi: StateVector, m: Projector) -> float:
+def born_probability(psi: StateVector, m: SubsetProjector) -> float:
     """<psi|M|psi>, the probability of the outcome subspace of M."""
     _check_dims(psi, m)
     value = float(np.vdot(psi.amplitudes, project(m, psi.amplitudes)).real)
     return as_probability(value)
 
 
-def apply_context(psi: StateVector, n_proj: Projector) -> StateVector:
+def apply_context(psi: StateVector, n_proj: SubsetProjector) -> StateVector:
     """N|psi> / ||N|psi>||, the deterministic pre-measurement state change."""
     _check_dims(psi, n_proj)
     projected = project(n_proj, psi.amplitudes)
@@ -197,7 +160,7 @@ def apply_context(psi: StateVector, n_proj: Projector) -> StateVector:
     return StateVector(projected / norm)
 
 
-def mu_with_context(psi: StateVector, n_proj: Projector, m: Projector) -> float:
+def mu_with_context(psi: StateVector, n_proj: SubsetProjector, m: SubsetProjector) -> float:
     """<psi|N M N|psi> / <psi|N|psi>, probability after the context N acts."""
     _check_dims(psi, n_proj, m)
     contexted = project(n_proj, psi.amplitudes)
@@ -222,8 +185,8 @@ def superpose(psi_a: StateVector, psi_b: StateVector) -> StateVector:
 def mu_combined(
     psi_a: StateVector,
     psi_b: StateVector,
-    n_proj: Projector,
-    m: Projector,
+    n_proj: SubsetProjector,
+    m: SubsetProjector,
 ) -> float:
     """Probability that the combined concept passes M after the context N.
 

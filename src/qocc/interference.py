@@ -36,9 +36,11 @@ FEASIBILITY_SLACK = 1e-12
 class InterferenceInterval(_Record):
     """Admissible combined-concept probabilities, clamped to [0, 1].
 
-    ``raw_lo`` and ``raw_hi`` keep the unclamped ratios for diagnostics;
-    round-off (or classically impossible input counts) can push them
-    marginally outside [0, 1].
+    From ``interference_interval``, ``raw_lo`` and ``raw_hi`` keep the
+    unclamped count ratios for diagnostics; round-off (or classically
+    impossible input counts) can push them marginally outside [0, 1].
+    ``context_interval`` stores its clamped endpoints there, equal to
+    ``lo`` and ``hi``.
     """
 
     def __init__(self, lo: float, hi: float, raw_lo: float, raw_hi: float) -> None:

@@ -11,7 +11,6 @@ import pytest
 from qocc.context_model import ModelParams
 from qocc.corpus import CountTable, ThreeTermCounts
 from qocc.hilbert import (
-    Projector,
     StateVector,
     SubsetProjector,
     characteristic_state,
@@ -92,15 +91,15 @@ def superposition_is_degenerate(web: Web) -> bool:
 def extract_model_params(
     psi_a: StateVector,
     psi_b: StateVector,
-    n_proj: Projector,
-    m: Projector,
+    n_proj: SubsetProjector,
+    m: SubsetProjector,
 ) -> tuple[float, float, ModelParams]:
     """Read (mu_a, mu_b, ModelParams) off explicit states.
 
     Splits each contexted state into its component inside the measured
     subspace and the component outside it, then measures the moduli and
     relative phases of the two overlaps.  Requires N and M to commute,
-    which subset projectors always do.
+    which holds by construction: the oracle builds subset projectors only.
     """
     na = project(n_proj, psi_a.amplitudes)
     nb = project(n_proj, psi_b.amplitudes)

@@ -7,14 +7,12 @@ import pytest
 from qocc.hilbert import (
     AnnihilatedState,
     DegenerateSuperposition,
-    DenseProjector,
     DimensionMismatch,
     EmptyIndexSet,
     NumericsError,
     StateVector,
     SubsetProjector,
     apply_context,
-    basis_state,
     born_probability,
     characteristic_state,
     identity_projector,
@@ -60,17 +58,13 @@ class TestConstructors:
         with pytest.raises(DimensionMismatch):
             SubsetProjector(3, frozenset({3}))
 
-    def test_dense_projector_rejects_non_hermitian(self):
-        with pytest.raises(NumericsError):
-            DenseProjector(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    def test_subset_projector_rejects_non_integer_index(self):
+        with pytest.raises(TypeError):
+            SubsetProjector(3, frozenset({1.5}))
 
-    def test_dense_projector_rejects_non_idempotent(self):
-        with pytest.raises(NumericsError):
-            DenseProjector(2.0 * np.eye(2, dtype=complex))
-
-    def test_dense_projector_caps_dimension(self):
-        with pytest.raises(DimensionMismatch):
-            DenseProjector(np.eye(65, dtype=complex))
+    def test_characteristic_state_rejects_non_integer_index(self):
+        with pytest.raises(TypeError):
+            characteristic_state(3, {1.7})
 
     def test_characteristic_state_rejects_empty_set(self):
         with pytest.raises(EmptyIndexSet):
@@ -79,10 +73,10 @@ class TestConstructors:
 
 class TestBornProbability:
     def test_eigenstate(self):
-        assert born_probability(basis_state(4, 0), SubsetProjector(4, {0})) == 1.0
+        assert born_probability(characteristic_state(4, {0}), SubsetProjector(4, {0})) == 1.0
 
     def test_orthogonal(self):
-        assert born_probability(basis_state(4, 0), SubsetProjector(4, {1, 2})) == 0.0
+        assert born_probability(characteristic_state(4, {0}), SubsetProjector(4, {1, 2})) == 0.0
 
     def test_uniform_half_weight(self):
         # |<chi|M|chi>| = |J intersect J_X| / |J| for zero phases
@@ -91,7 +85,7 @@ class TestBornProbability:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            born_probability(basis_state(3, 0), SubsetProjector(4, {0}))
+            born_probability(characteristic_state(3, {0}), SubsetProjector(4, {0}))
 
     def test_phase_choice_never_moves_single_word_probability(self, rng):
         # the marginal <chi|M|chi> depends only on the index sets
@@ -106,26 +100,25 @@ class TestBornProbability:
     def test_dense_equals_subset_on_same_subspace(self, rng):
         for _ in range(20):
             web = random_web(rng, max_dim=8)
-            dense = DenseProjector(np.diag([1.0 if j in web.j_x else 0.0 for j in range(web.dim)]).astype(complex))
-            assert born_probability(web.state_a, dense) == pytest.approx(
-                born_probability(web.state_a, web.word_projector), abs=1e-12
-            )
+            mask = np.diag([1.0 if j in web.j_x else 0.0 for j in range(web.dim)])
+            amps = web.state_a.amplitudes
+            assert np.array_equal(project(web.word_projector, amps), mask @ amps)
 
 
 class TestApplyContext:
     def test_identity_context(self):
-        psi = basis_state(4, 0)
+        psi = characteristic_state(4, {0})
         out = apply_context(psi, identity_projector(4))
         assert np.allclose(out.amplitudes, psi.amplitudes)
 
     def test_projection_then_renormalization(self):
         psi = StateVector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
         out = apply_context(psi, SubsetProjector(2, {0}))
-        assert np.allclose(out.amplitudes, basis_state(2, 0).amplitudes)
+        assert np.allclose(out.amplitudes, characteristic_state(2, {0}).amplitudes)
 
     def test_orthogonal_state_is_annihilated(self):
         with pytest.raises(AnnihilatedState):
-            apply_context(basis_state(2, 1), SubsetProjector(2, {0}))
+            apply_context(characteristic_state(2, {1}), SubsetProjector(2, {0}))
 
     def test_result_is_normalized_and_in_range(self, rng):
         for _ in range(50):
@@ -141,7 +134,7 @@ class TestApplyContext:
 
 class TestMuWithContext:
     def test_trivial(self):
-        psi = basis_state(4, 0)
+        psi = characteristic_state(4, {0})
         assert mu_with_context(psi, identity_projector(4), SubsetProjector(4, {0})) == 1.0
 
     def test_hand_expansion_half(self):
@@ -166,15 +159,15 @@ class TestMuWithContext:
 
 class TestSuperpose:
     def test_identical_states(self):
-        psi = basis_state(3, 0)
+        psi = characteristic_state(3, {0})
         assert np.allclose(superpose(psi, psi).amplitudes, psi.amplitudes)
 
     def test_orthogonal_states(self):
-        out = superpose(basis_state(2, 0), basis_state(2, 1))
+        out = superpose(characteristic_state(2, {0}), characteristic_state(2, {1}))
         assert np.allclose(out.amplitudes, np.array([1.0, 1.0]) / math.sqrt(2.0))
 
     def test_cancellation_raises(self):
-        plus = basis_state(2, 0)
+        plus = characteristic_state(2, {0})
         minus = StateVector(-plus.amplitudes)
         with pytest.raises(DegenerateSuperposition):
             superpose(plus, minus)
@@ -190,7 +183,7 @@ class TestSuperpose:
 
 class TestCharacteristicState:
     def test_single_index_is_basis_vector(self):
-        assert np.allclose(characteristic_state(4, {0}).amplitudes, basis_state(4, 0).amplitudes)
+        assert np.allclose(characteristic_state(4, {0}).amplitudes, np.eye(4)[0])
 
     def test_pi_phase_flips_sign(self):
         out = characteristic_state(4, {0, 1}, {0: 0.0, 1: math.pi})
@@ -208,13 +201,14 @@ class TestCharacteristicState:
 
 class TestMuCombined:
     def test_trivial_same_state(self):
-        psi = basis_state(3, 0)
+        psi = characteristic_state(3, {0})
         assert mu_combined(psi, psi, identity_projector(3), SubsetProjector(3, {0})) == 1.0
 
     def test_orthogonal_pair_is_plain_average(self):
         # no overlap: the value reduces to (mu_a + mu_b) / 2 with zero cross term
         value = mu_combined(
-            basis_state(2, 0), basis_state(2, 1), identity_projector(2), SubsetProjector(2, {0})
+            characteristic_state(2, {0}), characteristic_state(2, {1}),
+            identity_projector(2), SubsetProjector(2, {0}),
         )
         assert value == pytest.approx(0.5, abs=1e-12)
 
@@ -282,13 +276,3 @@ class TestProjectorProperties:
             vec = web.state_a.amplitudes
             once = project(web.word_projector, vec)
             assert np.allclose(project(web.word_projector, once), once, atol=1e-10)
-
-    def test_dense_idempotence_on_random_vectors(self, rng):
-        # projector onto a random 2-d subspace via Gram-Schmidt
-        dim = 6
-        basis = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
-        q, _ = np.linalg.qr(basis)
-        dense = DenseProjector(q @ q.conj().T)
-        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        once = project(dense, vec)
-        assert np.allclose(project(dense, once), once, atol=1e-10)

@@ -3,7 +3,7 @@ import math
 import re
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qocc import interference
@@ -264,6 +264,15 @@ def count_tables(draw):
     )
 
 
+@st.composite
+def consistent_tables(draw):
+    """Classically consistent tables: the cells of a page collection's Venn regions, up to 2**40."""
+    bound = draw(st.sampled_from([3, 1000, 2**40]))
+    abx, abx_prime, ax, ax_prime, bx, bx_prime = (draw(st.integers(0, bound)) for _ in range(6))
+    n_ab = abx + abx_prime
+    return CountTable(n_ab + ax + ax_prime, n_ab + bx + bx_prime, n_ab, abx + ax, abx + bx, abx)
+
+
 def outcomes(fn, *argument_sets):
     """fn's value for each argument set, None where it raises a denominator error."""
     values = []
@@ -312,6 +321,34 @@ class TestOneModelRatio:
             assert None in values
         else:
             assert [interval.raw_lo, interval.raw_hi] == values
+
+    @given(table=consistent_tables())
+    @example(table=exemplar_table("apple"))
+    @example(table=CountTable(n_a=8, n_b=9, n_ab=8, n_ax=5, n_bx=5, n_abx=5))
+    @example(table=CountTable(n_a=14491, n_b=14492, n_ab=14490, n_ax=1, n_bx=2, n_abx=0))
+    @example(table=CountTable(n_a=3, n_b=996970997004, n_ab=2, n_ax=2, n_bx=996970997003, n_abx=1))
+    @settings(max_examples=500, deadline=None)
+    def test_interference_interval_is_the_context_interval_at_unit_weights(self, table):
+        # the interference interval is the context model at p_a = p_b = 1, with
+        # the moduli c and c' of the count-derived overlaps in and out of x
+        assume(table.n_ax * table.n_bx > 0 and table.n_ax_prime * table.n_bx_prime > 0)
+        c = table.n_abx / math.sqrt(table.n_ax * table.n_bx)
+        c_prime = table.n_abx_prime / math.sqrt(table.n_ax_prime * table.n_bx_prime)
+        mu_a, mu_b = table.n_ax / table.n_a, table.n_bx / table.n_b
+        try:
+            interval = interference_interval(table)
+            model = context_interval(mu_a, mu_b, 1.0, 1.0, c, c_prime)
+        except DegenerateDenominator:
+            return
+        # The routes round differently, so they agree to 1e-12, not to the bit, where
+        # the problem is well conditioned.  The context route reads 1 - mu, which keeps
+        # fewer digits as mu nears 1 (spread >= 2 grows as 1 - mu_a and 1 - mu_b part),
+        # and both routes lose digits as the endpoint's normalization nears zero.
+        spread = math.sqrt((1.0 - mu_a) / (1.0 - mu_b)) + math.sqrt((1.0 - mu_b) / (1.0 - mu_a))
+        d = (table.n_abx - table.n_abx_prime) / math.sqrt(table.n_a * table.n_b)
+        ends = ((interval.lo, model.lo, 1.0 - d), (interval.hi, model.hi, 1.0 + d))
+        for got, want, normalization in ends:
+            assert abs(got - want) <= 1e-12 * spread / (2.0 * normalization)
 
 
 class TestFitsInterferenceOnly:

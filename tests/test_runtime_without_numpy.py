@@ -1,7 +1,7 @@
 """The library and CLI run without numpy; only the oracle ``qocc.hilbert`` needs it.
 
 The CLI's cold import also leaves out ``dataclasses`` and the bundled dataset,
-no module of the package imports a name it does not read, and the functions
+no module of the package, test or tool imports a name it does not read, and the functions
 every report and fit runs clamp and order without builtin ``min``/``max`` calls.
 """
 import ast
@@ -95,12 +95,17 @@ def test_every_exported_name_resolves():
         assert getattr(qocc, name) is not None, name
 
 
+REPO = Path(__file__).resolve().parents[1]
 MODULES = sorted(path for path in Path(qocc.__file__).parent.glob("*.py") if path.name != "__init__.py")
+SCRIPTS = sorted([*(REPO / "tests").glob("*.py"), *(REPO / "tools").glob("*.py")])
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path", MODULES + SCRIPTS,
+    ids=lambda path: path.name if path in MODULES else f"{path.parent.name}/{path.name}",
+)
 def test_module_reads_every_name_it_imports(path):
-    """A name imported at module level and never read is kept for something outside the package."""
+    """A name imported at module level and never read is kept for something outside the file."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {
         alias.asname or alias.name.split(".")[0]

@@ -160,8 +160,7 @@ def written(kind: str, parts: list[bytes]):
 def load(qocc, kind: str, parts: list[bytes], terms=None):
     """load_corpus on parts, of every word or of terms only."""
     with written(kind, parts) as path:
-        # a qocc older than the terms parameter still runs the other cases
-        return qocc.load_corpus(path) if terms is None else qocc.load_corpus(path, terms)
+        return qocc.load_corpus(path, terms)
 
 
 def read_corpus(qocc, kind: str, parts: list[bytes], terms=None) -> list[tuple[str, tuple[str, ...]]]:

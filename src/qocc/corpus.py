@@ -106,6 +106,8 @@ class Document(_Record):
     """
 
     def __init__(self, id: str, tokens: Iterable[str]) -> None:
+        if not isinstance(id, str):
+            raise InvalidInput(f"document id must be a string, got {type(id).__name__}")
         if not id:
             raise InvalidInput(_EMPTY_ID)
         if isinstance(tokens, str):

@@ -110,6 +110,9 @@ def mu_ab_interference(
     for pages, deltas, need in lists:
         if len(deltas) != need:
             raise InvalidInput(f"need {need} phase differences for the {pages} pages, got {len(deltas)}")
+        for delta in deltas:
+            if not math.isfinite(delta):
+                raise InvalidInput(f"phase difference for the {pages} pages must be finite, got {delta!r}")
     k_x = sum(math.cos(d) for d in deltas_x)
     k_x_prime = sum(math.cos(d) for d in deltas_x_prime)
     return mu_ab_interference_sums(table, k_x, k_x_prime)

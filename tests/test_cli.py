@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import qocc
 from qocc import fixtures
 from qocc.cli import canonical_json, main
-from qocc.context_model import fit_params, fit_params_constrained
+from qocc.context_model import fit_params
 from qocc.corpus import (
     _WORD_RE, Document, count_corpus, load_corpus, marginals, probabilities, tokenize,
 )
@@ -181,27 +181,6 @@ class TestCount:
 
 
 class TestAnalyze:
-    def test_olive_json_report(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "--json", "analyze", write_table(tmp_path, "olive"))
-        assert code == 0
-        report = json.loads(out)
-        assert report["interference_only_feasible"] is False
-        assert report["context_only_feasible"] is False
-        assert report["fit"]["strategy"] == "overextension_branch"
-
-    def test_parsley_human_report(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "analyze", write_table(tmp_path, "parsley"))
-        assert code == 0
-        assert "context_only        yes" in out
-        assert "interference_only   yes" in out
-
-    def test_apple_flags(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "--json", "analyze", write_table(tmp_path, "apple"))
-        assert code == 0
-        report = json.loads(out)
-        assert report["interference_only_feasible"] is True
-        assert report["extension"] == "double_overextension"
-
     def test_invariant_violating_table_exits_4(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(
@@ -229,35 +208,8 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze", str(tmp_path / "nope.json"))
         assert code == 2
 
-    def test_matches_library_report(self, capsys, tmp_path):
-        from qocc.report import build_report
-
-        code, out, _ = run(capsys, "--json", "analyze", write_table(tmp_path, "yam"))
-        assert code == 0
-        expected = canonical_json(build_report(exemplar_table("yam")).as_dict())
-        assert out.rstrip("\n") == expected
-
 
 class TestInterval:
-    def test_table_form_matches_library(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "--json", "interval", "--table", write_table(tmp_path, "apple"))
-        assert code == 0
-        payload = json.loads(out)
-        interval = interference_interval(exemplar_table("apple"))
-        assert payload["lo"] == interval.lo
-        assert payload["hi"] == interval.hi
-
-    def test_context_form(self, capsys):
-        code, out, _ = run(
-            capsys, "--json", "interval",
-            "--mu-a", "0.0522", "--mu-b", "0.213",
-            "--p-a", "0.5", "--p-b", "0.5", "--c", "0.5", "--c-prime", "0.5",
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["lo"] == pytest.approx(5.78e-2, rel=1e-2)
-        assert payload["hi"] == pytest.approx(2.98e-1, rel=1e-2)
-
     def test_human_form(self, capsys, tmp_path):
         code, out, _ = run(capsys, "interval", "--table", write_table(tmp_path, "apple"))
         assert code == 0
@@ -268,10 +220,6 @@ class TestInterval:
         table = write_table(tmp_path, "apple")
         argv = ("interval", "--table", table, "--mu-a", ".5", "--mu-b", ".5", "--p-a", "2")
         assert run(capsys, *argv) == (0, "[1.02e-01, 3.34e-01]\n", "")
-
-    def test_needs_some_input(self, capsys):
-        code, _, err = run(capsys, "interval")
-        assert code == 2
 
     @pytest.mark.parametrize("marginal", ["n_a", "n_b"])
     def test_zero_marginal_table_exits_4_naming_the_marginal(self, capsys, tmp_path, marginal):
@@ -303,22 +251,6 @@ class TestFit:
         rule = "No pin solves all six parameters; any pin makes the unpinned ones 1 and solves only the phases."
         assert (rule in text) == (command == "fit")
 
-    def test_almond_values(self, capsys):
-        code, out, _ = run(
-            capsys, "--json", "fit", "--mu-a", "0.0901", "--mu-b", "0.110", "--target", "0.255"
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["strategy"] == "overextension_branch"
-        assert payload["residual"] <= 1e-9
-
-    def test_convex_case(self, capsys):
-        code, out, _ = run(
-            capsys, "--json", "fit", "--mu-a", "0.3", "--mu-b", "0.3", "--target", "0.3"
-        )
-        assert code == 0
-        assert json.loads(out)["strategy"] == "convex_no_interference"
-
     @pytest.mark.parametrize("target", ["0", "1e-323"])
     def test_a_weight_ratio_that_overflows_is_fitted(self, capsys, target):
         # at mu_a = 5e-324 the weight ratio mu_b / mu_a overflows to inf
@@ -326,48 +258,6 @@ class TestFit:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert json.loads(out)["residual"] <= 1e-9
-
-    def test_degenerate_measurement_exits_6(self, capsys):
-        code, _, err = run(capsys, "fit", "--mu-a", "1.0", "--mu-b", "0.5", "--target", "0.5")
-        assert code == 6
-
-    def test_constrained_solve(self, capsys):
-        code, out, _ = run(
-            capsys, "--json", "fit",
-            "--mu-a", "0.0522", "--mu-b", "0.213", "--target", "0.29",
-            "--p-a", "0.5", "--p-b", "0.5", "--c", "0.5", "--c-prime", "0.5",
-        )
-        assert code == 0
-        payload = json.loads(out)
-        expected = fit_params_constrained(0.0522, 0.213, 0.29, 0.5, 0.5, 0.5, 0.5)
-        assert payload == json.loads(canonical_json(expected.as_dict()))
-
-    def test_pinned_solve_steps_around_the_vanishing_corner(self, capsys):
-        # equal measurements and weights with unit moduli make the model's
-        # normalization vanish at (x, x') = (-1, -1); the pinned solve's path
-        # avoids that corner, so the target inside the interval [0, 1] is reached
-        argv = (
-            "fit", "--mu-a", "0.3", "--mu-b", "0.3", "--target", "0.3",
-            "--p-a", "1", "--p-b", "1", "--c", "1", "--c-prime", "1",
-        )
-        code, out, err = run(capsys, *argv)
-        assert (code, err) == (0, "")
-        assert out.startswith("strategy=convex_no_interference ")
-        code, out, err = run(capsys, "--json", *argv)
-        assert (code, err) == (0, "")
-        payload = json.loads(out)
-        assert payload["residual"] <= 1e-9
-        pins = (payload["p_a"], payload["p_b"], payload["c"], payload["c_prime"])
-        assert pins == (1.0, 1.0, 1.0, 1.0)
-
-    def test_unreachable_pinned_target_exits_1(self, capsys):
-        code, _, err = run(
-            capsys, "fit",
-            "--mu-a", "0.0522", "--mu-b", "0.213", "--target", "0.9",
-            "--p-a", "0.5", "--p-b", "0.5", "--c", "0.5", "--c-prime", "0.5",
-        )
-        assert code == 1
-        assert "fit:" in err
 
     def test_scripted_invocations_match_library(self, capsys, rng):
         for _ in range(20):
@@ -586,31 +476,6 @@ def self_consistent_rows():
 
 
 class TestTable1:
-    def test_default_run_prints_all_rows_and_flags_recorded_deviations(self, capsys):
-        code, out, err = run(capsys, "table1")
-        # the shipped dataset's recorded endpoints disagree with recomputation
-        # on most rows, so the self-check reports them and exits 5
-        assert code == 5
-        for name in fixtures.EXEMPLAR_NAMES:
-            assert name in out
-        assert "deviations from recorded reference values" in err
-        assert "raisin/mu_min" in err
-        # cells that do agree are not listed
-        assert "apple/mu_a" not in err
-        assert "lentils/mu_max" not in err
-
-    def test_csv_shape_and_apple_row(self, capsys):
-        code, out, _ = run(capsys, "table1", "--csv")
-        lines = out.strip().splitlines()
-        assert lines[0] == "exemplar,mu_a,mu_b,mu_ab,mu_min,mu_max"
-        assert len(lines) == 9
-        assert lines[1] == "apple,1.66e-01,2.36e-01,2.71e-01,1.02e-01,3.34e-01"
-
-    def test_almond_computed_max(self, capsys):
-        code, out, _ = run(capsys, "table1", "--csv")
-        almond = [line for line in out.splitlines() if line.startswith("almond")][0]
-        assert almond.endswith("2.12e-01")
-
     def test_exit_zero_when_recorded_values_are_consistent(self, capsys, monkeypatch):
         monkeypatch.setattr(fixtures, "ROWS", self_consistent_rows())
         code, out, err = run(capsys, "table1")
@@ -627,16 +492,6 @@ class TestTable1:
         code, _, err = run(capsys, "table1")
         assert code == 5
         assert "apple/mu_max" in err
-
-    def test_json_rows_match_library(self, capsys):
-        code, out, _ = run(capsys, "--json", "table1")
-        payload = json.loads(out)
-        assert len(payload) == 8
-        apple = payload[0]
-        interval = interference_interval(exemplar_table("apple"))
-        assert apple["exemplar"] == "apple"
-        assert apple["mu_min"] == interval.lo
-        assert apple["mu_max"] == interval.hi
 
 
 MALFORMED_INPUTS = {

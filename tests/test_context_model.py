@@ -434,14 +434,6 @@ class TestFitParams:
             result = fit_params(mu_a, mu_b, target)
             assert max(result.params.p_a, result.params.p_b) == pytest.approx(1.0)
 
-    def test_residuals_on_random_triples(self, rng):
-        for _ in range(300):
-            mu_a = float(rng.uniform(0.01, 0.99))
-            mu_b = float(rng.uniform(0.01, 0.99))
-            target = float(rng.uniform(0.0, 1.0))
-            result = fit_params(mu_a, mu_b, target)
-            assert result.residual <= 1e-9
-
     def test_target_grid_coverage(self, rng):
         # every target on a fine grid is reachable for random measurements
         for _ in range(10):

@@ -95,6 +95,13 @@ class TestDocument:
         with pytest.raises(InvalidInput, match=f"^{message}$"):
             Document("d", tokens)
 
+    @pytest.mark.parametrize("doc_id", [5, 0, None, ["x"], b"d"], ids=["int", "zero", "none", "list", "bytes"])
+    def test_rejects_an_id_that_is_not_a_str(self, doc_id):
+        # a list id would leave the document unhashable, and 0 would read as an empty id
+        message = f"document id must be a string, got {type(doc_id).__name__}"
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            Document(doc_id, ())
+
     def test_numpy_string_tokens_count(self):
         docs = [Document("1", (np.str_("a"), np.str_("x"))), Document("2", np.array(["b"]))]
         assert count_corpus(docs, "a", "b", "x") == ThreeTermCounts(n101=1, n010=1)

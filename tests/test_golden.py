@@ -3,7 +3,10 @@
 ``tests/data/golden/cases.json`` holds one record per argv.  Argvs are
 replayed from inside ``tests/data/golden``, so their paths are relative to it
 and a message that quotes a path quotes the same bytes on every checkout.  A
-change that alters any output byte fails here.  After an announced output
+change that alters any output byte fails here.  This replay is the one
+referee of the argvs it records (``tests/test_cli.py`` does not re-run them),
+so the table and corpus files they read are checked too, against the text
+``golden_inputs()`` renders from the code.  After an announced output
 change, regenerate the records with ``PYTHONPATH=src python tests/test_golden.py``
 and review the diff.
 """
@@ -175,17 +178,31 @@ def test_every_golden_argv_has_a_record():
     assert [r["argv"] for r in RECORDS] == golden_argvs()
 
 
+def golden_inputs() -> dict[Path, str]:
+    """The text of each table and corpus file that the golden argvs read, by path."""
+    tables = {name: table.as_dict() for name, table in all_tables().items()} | EDGE_TABLES
+    files = {TABLES / f"{name}.json": canonical_json(table) + "\n" for name, table in tables.items()}
+    files |= {GOLDEN / "corpus" / name: text for name, text in CORPUS.items()}
+    lines = [json.dumps({"id": name, "text": text}) + "\n" for name, text in CORPUS.items()]
+    files[GOLDEN / "corpus.jsonl"] = "".join(lines)
+    return files
+
+
+INPUTS = golden_inputs()
+# a file of tables/ or corpus/ that golden_inputs() does not name is a case too, and fails
+INPUT_PATHS = sorted(set(INPUTS) | set(GOLDEN.glob("tables/*")) | set(GOLDEN.glob("corpus/*")))
+
+
+@pytest.mark.parametrize("path", INPUT_PATHS, ids=[path.relative_to(GOLDEN).as_posix() for path in INPUT_PATHS])
+def test_committed_input_file_is_the_one_the_code_writes(path):
+    assert path.read_bytes().decode("utf-8") == INPUTS.get(path)
+
+
 def write_golden() -> None:
     """Write the tables and the corpus, and record every golden argv's output from the current code."""
-    TABLES.mkdir(parents=True, exist_ok=True)
-    tables = {name: table.as_dict() for name, table in all_tables().items()} | EDGE_TABLES
-    for name, table in tables.items():
-        (TABLES / f"{name}.json").write_text(canonical_json(table) + "\n", encoding="utf-8")
-    (GOLDEN / "corpus").mkdir(exist_ok=True)
-    for name, text in CORPUS.items():
-        (GOLDEN / "corpus" / name).write_text(text, encoding="utf-8")
-    lines = [json.dumps({"id": name, "text": text}) + "\n" for name, text in CORPUS.items()]
-    (GOLDEN / "corpus.jsonl").write_text("".join(lines), encoding="utf-8")
+    for path, text in INPUTS.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
     records = [replay(argv) for argv in golden_argvs()]
     CASES.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
 

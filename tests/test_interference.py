@@ -1,6 +1,7 @@
 """Phase-parametrized combined probability, its admissible interval, taxonomy."""
 import math
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,7 +12,6 @@ from qocc.context_model import context_interval, mu_ab_cosines
 from qocc.corpus import CountTable
 from qocc.errors import DegenerateDenominator, InvalidInput, ZeroDenominator
 from qocc.fixtures import INTERFERENCE_FEASIBLE, ROWS, exemplar_table
-from qocc.hilbert import identity_projector, mu_combined
 from qocc.interference import (
     BOUNDARY_TOL,
     DENOMINATOR_TOL,
@@ -25,7 +25,7 @@ from qocc.interference import (
 )
 from qocc.report import fits_interference_only
 
-from conftest import EDGE_FLOATS, random_web, same_float, superposition_is_degenerate
+from conftest import EDGE_FLOATS, random_web, same_float
 
 # Interval endpoints recomputed from the bundled dataset's integer counts
 # with 40-digit arithmetic, frozen here as an independent numerical oracle.
@@ -83,23 +83,6 @@ class TestMuAbInterference:
                 mu_ab_interference_sums(table, k_x, k_xp), abs=1e-14
             )
 
-    def test_agrees_with_vector_computation_on_synthetic_webs(self, rng):
-        checked = 0
-        while checked < 200:
-            web = random_web(rng)
-            if superposition_is_degenerate(web):
-                continue
-            table = web.count_table()
-            try:
-                aggregate = mu_ab_interference(table, *web.phase_assignment())
-            except DegenerateDenominator:
-                continue
-            direct = mu_combined(
-                web.state_a, web.state_b, identity_projector(web.dim), web.word_projector
-            )
-            assert aggregate == pytest.approx(direct, abs=1e-10)
-            checked += 1
-
     def test_rejects_wrong_phase_list_lengths(self):
         table = CountTable(n_a=10, n_b=10, n_ab=4, n_ax=4, n_bx=4, n_abx=2)
         with pytest.raises(InvalidInput):
@@ -107,6 +90,15 @@ class TestMuAbInterference:
         message = "need 2 phase differences for the abx' pages, got 3"
         with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
             mu_ab_interference(table, deltas_x=(0.0, 0.0), deltas_x_prime=(0.0,) * 3)
+
+    @pytest.mark.parametrize("phase", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("pages", ["abx", "abx'"])
+    def test_rejects_a_non_finite_phase(self, pages, phase):
+        deltas = {"abx": [0.0, 0.0], "abx'": [0.0, 0.0]}
+        deltas[pages][1] = phase
+        message = f"phase difference for the {pages} pages must be finite, got {phase!r}"
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            mu_ab_interference(CountTable(10, 10, 4, 5, 5, 2), deltas["abx"], deltas["abx'"])
 
     def test_rejects_cosine_sum_outside_range(self):
         table = CountTable(n_a=10, n_b=10, n_ab=4, n_ax=4, n_bx=4, n_abx=2)
@@ -220,6 +212,22 @@ class TestInterferenceInterval:
         interval = interference_interval(table)
         assert (interval.raw_lo, interval.raw_hi) == pytest.approx((raw_lo, raw_hi), abs=1e-15)
         assert (interval.lo, interval.hi) == pytest.approx((lo, hi), abs=1e-15)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 5: a normalization 1 -+ d / r just above DENOMINATOR_TOL keeps few correct digits"
+    ))
+    @pytest.mark.parametrize("table", [
+        CountTable(1048248498070, 1048248498070, 1048248498068, 1048248498069, 1048248498069, 1048248498068),
+        CountTable(842915542959, 842915542959, 842915542958, 1, 2, 1),
+    ], ids=["lo-one-half", "hi-five-sixths"])
+    def test_near_singular_tables_keep_their_endpoints(self, table):
+        # n_a = n_b makes r = sqrt(n_a n_b) = n_a, so each endpoint is the exact
+        # fraction (half_a n_a -+ n_abx) / (n_a -+ d) with d = n_abx - n_abx'
+        half_a_n_a = Fraction(table.n_ax + table.n_bx, 2)
+        d = table.n_abx - table.n_abx_prime
+        interval = interference_interval(table)
+        assert interval.lo == pytest.approx(float((half_a_n_a - table.n_abx) / (table.n_a - d)), rel=1e-9)
+        assert interval.hi == pytest.approx(float((half_a_n_a + table.n_abx) / (table.n_a + d)), rel=1e-9)
 
     @pytest.mark.parametrize("raw", EDGE_FLOATS)
     def test_clamps_keep_what_min_and_max_give(self, monkeypatch, raw):

@@ -24,6 +24,7 @@ from qocc.context_model import (
     mu_ab_full,
 )
 from qocc.errors import DegenerateDenominator, InvalidInput, UnreachableTarget
+from qocc.fixtures import CONTEXT_EXAMPLES
 from qocc.hilbert import SubsetProjector, characteristic_state, identity_projector, mu_combined
 from qocc.interference import DENOMINATOR_TOL, ExtensionClass, classify_extension
 
@@ -75,6 +76,13 @@ class TestMuAbFull:
             phi, phi_prime = rng.uniform(0.0, 2.0 * math.pi, size=2)
             params = ModelParams(p_a, p_b, 0.0, 0.0, float(phi), float(phi_prime))
             assert mu_ab_full(mu_a, mu_b, params) == mu_ab_convex(mu_a, mu_b, p_a, p_b)
+
+    def test_olive_pinned_parameters(self):
+        # p_a = p_b = c = c' = 0.5 brackets the olive observation
+        lo = mu_ab_cosines(5.22e-2, 2.13e-1, 0.5, 0.5, 0.5, 0.5, -1.0, 1.0)
+        hi = mu_ab_cosines(5.22e-2, 2.13e-1, 0.5, 0.5, 0.5, 0.5, 1.0, -1.0)
+        assert lo == pytest.approx(5.78e-2, rel=1e-2)
+        assert hi == pytest.approx(2.98e-1, rel=1e-2)
 
     def test_weight_scale_invariance(self, rng):
         for _ in range(200):
@@ -188,18 +196,18 @@ def domain_cases(call, valid, names, domains):
     [
         *domain_cases(context_interval, (0.5,) * 6, ("mu_a", "mu_b", "p_a", "p_b", "c", "c_prime"),
                       (UNIT, UNIT, WEIGHT, WEIGHT, MODULUS, MODULUS)),
-        *domain_cases(ModelParams, (0.5, 0.5, 0.5, 0.5, 0.0, 0.0), ("p_a", "p_b", "c", "c_prime"),
-                      (WEIGHT, WEIGHT, MODULUS, MODULUS)),
         *domain_cases(fit_params, (0.3, 0.4, 0.35), ("mu_a", "mu_b", "target"), (INSIDE, INSIDE, UNIT)),
-        # mu_a = mu_b = target: the convex point x = x' = 0 reaches it at every accepted pin
-        *domain_cases(fit_params_constrained, (0.4, 0.4, 0.4, 1.0, 1.0, 1.0, 1.0),
-                      ("mu_a", "mu_b", "target", "p_a", "p_b", "c", "c_prime"),
-                      ((), (), (), WEIGHT, WEIGHT, MODULUS, MODULUS)),
         *domain_cases(classify_extension, (0.3, 0.5, 0.4), ("mu_a", "mu_b", "mu_ab"), (UNIT, UNIT, UNIT)),
         # every argument outside: the first one checked is named; context_interval checks weights first
         (context_interval, (2.0,) * 6, "p_a=2.0 must be in (0, 1]"),
         (fit_params, (2.0,) * 3, "mu_a=2.0 must be strictly inside (0, 1)"),
         (classify_extension, (2.0,) * 3, "mu_a=2.0 is outside [0, 1]"),
+        *domain_cases(ModelParams, (0.5, 0.5, 0.5, 0.5, 0.0, 0.0), ("p_a", "p_b", "c", "c_prime"),
+                      (WEIGHT, WEIGHT, MODULUS, MODULUS)),
+        # mu_a = mu_b = target: the convex point x = x' = 0 reaches it at every accepted pin
+        *domain_cases(fit_params_constrained, (0.4, 0.4, 0.4, 1.0, 1.0, 1.0, 1.0),
+                      ("mu_a", "mu_b", "target", "p_a", "p_b", "c", "c_prime"),
+                      ((), (), (), WEIGHT, WEIGHT, MODULUS, MODULUS)),
     ],
 )
 def test_checks_reach_each_edge_of_each_domain(call, args, message):
@@ -224,6 +232,26 @@ def test_solve_cosine_clips_as_min_and_max_do(root):
 
 
 class TestContextInterval:
+    @pytest.mark.parametrize("example", CONTEXT_EXAMPLES, ids=lambda e: e.name)
+    def test_reported_pinned_parameter_intervals(self, example):
+        from qocc.corpus import probabilities
+        from qocc.fixtures import exemplar_table
+
+        triple = probabilities(exemplar_table(example.name))
+        interval = context_interval(
+            triple.mu_a, triple.mu_b, example.p_a, example.p_b, example.c, example.c_prime
+        )
+        assert interval.lo == pytest.approx(example.reported_lo, rel=1e-2)
+        assert interval.hi == pytest.approx(example.reported_hi, rel=1e-2)
+        observed = triple.mu_ab_observed
+        assert interval.contains(observed)
+
+    def test_interval_orders_correctly(self, rng):
+        for _ in range(200):
+            mu_a, mu_b, p_a, p_b, c, c_prime = random_setting(rng)
+            interval = context_interval(mu_a, mu_b, p_a, p_b, c, c_prime)
+            assert interval.lo <= interval.hi
+
     @pytest.mark.xfail(
         strict=True,
         reason="ROADMAP item 5: the endpoint's normalization 1 - (1 - m) c' cancels near mu = 0",
@@ -344,6 +372,14 @@ class TestFitParams:
         assert result.strategy is FitStrategy.OVEREXTENSION_BRANCH
         assert result.residual <= 1e-9
 
+    def test_weights_are_normalized(self, rng):
+        for _ in range(100):
+            mu_a = float(rng.uniform(0.01, 0.99))
+            mu_b = float(rng.uniform(0.01, 0.99))
+            target = float(rng.uniform(0.001, 0.999))
+            result = fit_params(mu_a, mu_b, target)
+            assert max(result.params.p_a, result.params.p_b) == pytest.approx(1.0)
+
     def test_rejects_degenerate_measurements(self):
         with pytest.raises(InvalidInput):
             fit_params(0.0, 0.5, 0.3)
@@ -415,6 +451,15 @@ class TestFitParamsConstrained:
         # the pinned interval for these parameters tops out below 0.9
         with pytest.raises(UnreachableTarget):
             fit_params_constrained(0.0522, 0.213, 0.9, 0.5, 0.5, 0.5, 0.5)
+
+    def test_random_targets_inside_pinned_intervals(self, rng):
+        for _ in range(100):
+            mu_a, mu_b, p_a, p_b, c, c_prime = random_setting(rng)
+            interval = context_interval(mu_a, mu_b, p_a, p_b, c, c_prime)
+            target = float(rng.uniform(interval.lo, interval.hi))
+            result = fit_params_constrained(mu_a, mu_b, target, p_a, p_b, c, c_prime)
+            assert result.residual <= 1e-9
+            assert (result.params.p_a, result.params.p_b) == (p_a, p_b)
 
     @given(
         setting=st.one_of(

@@ -108,6 +108,31 @@ class TestDocument:
 
 
 class TestCountCorpus:
+    def test_random_corpus_matches_per_document_recount(self, rng):
+        vocabulary = ["a", "b", "x", "y", "z"]
+        docs = []
+        for i in range(50):
+            size = int(rng.integers(0, 6))
+            docs.append(Document(str(i), tuple(rng.choice(vocabulary, size=size))))
+        counts = count_corpus(docs, "a", "b", "x")
+        assert counts.total == 50
+        # brute-force recount, one document at a time
+        recount = ThreeTermCounts()
+        for doc in docs:
+            recount = recount + count_corpus([doc], "a", "b", "x")
+        assert recount == counts
+
+    def test_adding_a_document_never_decreases_any_cell(self, rng):
+        vocabulary = ["a", "b", "x"]
+        docs = [
+            Document(str(i), tuple(rng.choice(vocabulary, size=int(rng.integers(0, 4)))))
+            for i in range(20)
+        ]
+        before = count_corpus(docs, "a", "b", "x").as_dict()
+        extended = docs + [Document("extra", ("a", "x"))]
+        after = count_corpus(extended, "a", "b", "x").as_dict()
+        assert all(after[key] >= before[key] for key in before)
+
     def test_partition_and_merge_equals_single_pass(self, rng):
         vocabulary = ["a", "b", "x", "w"]
         corpus = Corpus(

@@ -11,7 +11,7 @@ from qocc import interference
 from qocc.context_model import context_interval, mu_ab_cosines
 from qocc.corpus import CountTable
 from qocc.errors import DegenerateDenominator, InvalidInput, ZeroDenominator
-from qocc.fixtures import ROWS, exemplar_table
+from qocc.fixtures import INTERFERENCE_FEASIBLE, ROWS, exemplar_table
 from qocc.interference import (
     BOUNDARY_TOL,
     DENOMINATOR_TOL,
@@ -44,6 +44,11 @@ RECOMPUTED_INTERVALS = {
 
 def right_angles(table: CountTable) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return (math.pi / 2.0,) * table.n_abx, (math.pi / 2.0,) * table.n_abx_prime
+
+
+def extremal_phases(table: CountTable, top: bool) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    aligned, opposed = (0.0, math.pi) if top else (math.pi, 0.0)
+    return (aligned,) * table.n_abx, (opposed,) * table.n_abx_prime
 
 
 class TestMuAbInterference:
@@ -127,6 +132,21 @@ class TestInterferenceInterval:
         lo, hi = RECOMPUTED_INTERVALS[name]
         assert interval.lo == pytest.approx(lo, rel=1e-12)
         assert interval.hi == pytest.approx(hi, rel=1e-12)
+
+    def test_extremal_phase_assignments_attain_the_endpoints(self, rng):
+        for _ in range(100):
+            web = random_web(rng)
+            table = web.count_table()
+            if table.n_a == 0 or table.n_b == 0:
+                continue
+            try:
+                interval = interference_interval(table)
+            except DegenerateDenominator:
+                continue
+            top = mu_ab_interference(table, *extremal_phases(table, top=True))
+            bottom = mu_ab_interference(table, *extremal_phases(table, top=False))
+            assert top == pytest.approx(interval.raw_hi, abs=1e-12)
+            assert bottom == pytest.approx(interval.raw_lo, abs=1e-12)
 
     def test_random_phases_stay_inside(self, rng):
         tables = 0
@@ -331,6 +351,10 @@ class TestOneModelRatio:
 
 
 class TestFitsInterferenceOnly:
+    @pytest.mark.parametrize("name", [row.name for row in ROWS])
+    def test_dataset_feasibility_split(self, name):
+        assert fits_interference_only(exemplar_table(name)) == (name in INTERFERENCE_FEASIBLE)
+
     def test_saturated_observed_ratio_needs_unit_average(self):
         # n_abx == n_ab forces observed 1.0, unreachable unless the plain
         # average itself is 1
@@ -344,6 +368,12 @@ class TestFitsInterferenceOnly:
 
 
 class TestClassifyExtension:
+    def test_apple_is_double_overextension(self):
+        assert classify_extension(0.166, 0.236, 0.271) is ExtensionClass.DOUBLE_OVEREXTENSION
+
+    def test_parsley_is_single_extension(self):
+        assert classify_extension(0.0121, 0.0452, 0.0319) is ExtensionClass.SINGLE_EXTENSION
+
     def test_boundary_tolerance_is_tight(self):
         assert classify_extension(0.3, 0.5, 0.3 + 5e-13) is ExtensionClass.BOUNDARY
         assert classify_extension(0.3, 0.5, 0.3 + 5e-12) is ExtensionClass.SINGLE_EXTENSION

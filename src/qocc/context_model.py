@@ -23,15 +23,17 @@ the admissible parameter box, so extremes sit at (x, x') = (-1, +1) and
 
   * targets strictly between mu_a and mu_b, or equal to both, need no
     interference at all: a weight ratio p_a/p_b alone places the convex
-    combination (p_a = p_b when mu_a = mu_b);
+    combination (p_a = p_b when mu_a = mu_b), at c = c' = 0;
   * any other target takes c = c' = 1 and the weight ratio of the side it
     leaves [min(mu_a, mu_b), max(mu_a, mu_b)] by.  Above (target >= max),
     p_a/p_b = (1-mu_b)/(1-mu_a) makes mu_ab(x' = -1) exactly 1, and x' is
     solved at x = 0; below, p_a/p_b = mu_b/mu_a makes mu_ab(x = -1) exactly 0,
     and x is solved at x' = 0.
 
-Pinned fits solve on the monotone path (-1, +1) -> (+1, +1) -> (+1, -1),
-where the normalization cannot vanish (``fit_params_constrained``).
+Every fit picks weights and moduli, solves one cosine with ``_solve_cosine``,
+the other held at 0 (``fit_params``; zero moduli solve to 0.0, phase pi/2) or at
++1 on the pinned fit's monotone path (-1, +1) -> (+1, +1) -> (+1, -1), where the
+normalization cannot vanish, and checks phases acos(x), acos(x') in ``_checked_fit``.
 
 The probability depends on (p_a, p_b) only through their ratio, so fitted
 pairs are normalized with the larger weight equal to 1.
@@ -195,20 +197,20 @@ def _normalized_weights(num: float, den: float) -> tuple[float, float]:
     return (1.0, den / num) if ratio >= 1.0 else (ratio, 1.0)
 
 
-def _solve_cosine(coeffs: tuple[float, ...], target: float, fixed: float, for_x: bool) -> float:
-    """The cosine x (for_x) or x' at which mu_ab = target, the other one held at fixed.
+def _solve_cosine(coeffs: tuple[float, ...], target: float, fixed: float, for_x: bool) -> tuple[float, float]:
+    """The cosines (x, x') with mu_ab = target: x (for_x) or x' solved, the other one held at fixed.
 
     With the denominator cleared, mu_ab = target reads
-    (a - target*b) + slope_x*x + slope_x_prime*x' = 0; the root is clipped to
-    [-1, 1] as ``min(1.0, max(-1.0, root))`` clips it: -0.0 stays, NaN reads -1.0.
+    (a - target*b) + slope_x*x + slope_x_prime*x' = 0.  A zero slope (c = 0, c' = 0 or
+    target in {0, 1}: the equation ignores that cosine) solves to 0.0; any other root is
+    clipped to [-1, 1] as ``min(1.0, max(-1.0, root))`` clips it: -0.0 stays, NaN reads -1.0.
     """
     a, b, g, k, k_prime = coeffs
     slope_x, slope_x_prime = g * k * (1.0 - target), -g * k_prime * target
     slope, other = (slope_x, slope_x_prime) if for_x else (slope_x_prime, slope_x)
-    if slope == 0.0:
-        return 0.0  # c = 0, c' = 0 or target in {0, 1}: the equation ignores this cosine
-    root = -(a - target * b + other * fixed) / slope
-    return (root if root < 1.0 else 1.0) if root > -1.0 else -1.0
+    root = -(a - target * b + other * fixed) / slope if slope else 0.0
+    root = (root if root < 1.0 else 1.0) if root > -1.0 else -1.0
+    return (root, fixed) if for_x else (fixed, root)
 
 
 def _check_fit_inputs(mu_a: float, mu_b: float, target: float) -> None:
@@ -221,9 +223,11 @@ def _check_fit_inputs(mu_a: float, mu_b: float, target: float) -> None:
 
 
 def _checked_fit(
-    coeffs: tuple[float, ...], target: float, params: ModelParams, strategy: FitStrategy
+    coeffs: tuple[float, ...], target: float, strategy: FitStrategy, cosines: tuple[float, float],
+    p_a: float, p_b: float, c: float, c_prime: float,
 ) -> FitResult:
-    """The fit of params, whose weights and moduli made coeffs, if it meets RESIDUAL_BOUND."""
+    """The fit at phases acos(x), acos(x') of cosines = (x, x'), if it meets RESIDUAL_BOUND."""
+    params = ModelParams(p_a, p_b, c, c_prime, math.acos(cosines[0]), math.acos(cosines[1]))
     residual = abs(_mu(coeffs, math.cos(params.phi), math.cos(params.phi_prime)) - target)
     if residual > RESIDUAL_BOUND:
         raise UnreachableTarget(f"fit residual {residual!r} exceeds {RESIDUAL_BOUND}")
@@ -233,27 +237,24 @@ def _checked_fit(
 def fit_params(mu_a: float, mu_b: float, target: float) -> FitResult:
     """Find parameters with mu_ab_full(mu_a, mu_b, params) = target.
 
-    The fit exhibits one solution, it does not claim uniqueness; its two
-    cases are the module docstring's.  Targets 0 and 1 sit exactly at phase pi.
+    The fit exhibits one solution, it does not claim uniqueness; its cases are
+    the module docstring's.  Targets 0 and 1 sit exactly at phase pi.
     """
     _check_fit_inputs(mu_a, mu_b, target)
     low, high = (mu_a, mu_b) if mu_a < mu_b else (mu_b, mu_a)
-    if low < target < high or mu_a == mu_b == target:
+    # +1 above, -1 below, 0 between; a tie with one measurement goes outward, with both to 0
+    side = (target >= high) - (target <= low)
+    if side == 0:
         # convex combination alone: p_a / p_b = (mu_b - target) / (target - mu_a)
         p_a, p_b = (1.0, 1.0) if mu_a == mu_b else _normalized_weights(mu_b - target, target - mu_a)
-        params = ModelParams(p_a, p_b, 0.0, 0.0, math.pi / 2.0, math.pi / 2.0)
-        coeffs = _coefficients(mu_a, mu_b, p_a, p_b, 0.0, 0.0)
-        return _checked_fit(coeffs, target, params, FitStrategy.CONVEX_NO_INTERFERENCE)
-    over = target >= high
-    p_a, p_b = _normalized_weights(*((1.0 - mu_b, 1.0 - mu_a) if over else (mu_b, mu_a)))
-    coeffs = _coefficients(mu_a, mu_b, p_a, p_b, 1.0, 1.0)
-    if target == 0.0 or target == 1.0:
-        cosine = -1.0  # the solve would only round its way to -1
     else:
-        cosine = _solve_cosine(coeffs, target, 0.0, for_x=not over)
-    phases = (math.pi / 2.0, math.acos(cosine)) if over else (math.acos(cosine), math.pi / 2.0)
-    strategy = FitStrategy.OVEREXTENSION_BRANCH if over else FitStrategy.UNDEREXTENSION_BRANCH
-    return _checked_fit(coeffs, target, ModelParams(p_a, p_b, 1.0, 1.0, *phases), strategy)
+        p_a, p_b = _normalized_weights(*((1.0 - mu_b, 1.0 - mu_a) if side == 1 else (mu_b, mu_a)))
+    c = 1.0 if side else 0.0
+    # at targets 0 and 1 the solve takes the cosine the equation ignores, the other held at -1
+    edge = target == 0.0 or target == 1.0
+    coeffs = _coefficients(mu_a, mu_b, p_a, p_b, c, c)
+    cosines = _solve_cosine(coeffs, target, -1.0 if edge else 0.0, (side == -1) != edge)
+    return _checked_fit(coeffs, target, _STRATEGIES[side], cosines, p_a, p_b, c, c)
 
 
 def fit_params_constrained(
@@ -285,10 +286,7 @@ def fit_params_constrained(
         raise UnreachableTarget(
             f"target {target!r} is outside the pinned interval [{interval.lo!r}, {interval.hi!r}]"
         )
-    # the corner (+1, +1) joins the legs
-    if target <= _mu(coeffs, 1.0, 1.0):
-        x, x_prime = _solve_cosine(coeffs, target, 1.0, for_x=True), 1.0
-    else:
-        x, x_prime = 1.0, _solve_cosine(coeffs, target, 1.0, for_x=False)
-    params = ModelParams(p_a, p_b, c, c_prime, math.acos(x), math.acos(x_prime))
-    return _checked_fit(coeffs, target, params, _STRATEGIES[_side(mu_a, mu_b, target)])
+    # x rises at x' = +1 up to the corner (+1, +1), then x' falls at x = +1
+    cosines = _solve_cosine(coeffs, target, 1.0, target <= _mu(coeffs, 1.0, 1.0))
+    strategy = _STRATEGIES[_side(mu_a, mu_b, target)]
+    return _checked_fit(coeffs, target, strategy, cosines, p_a, p_b, c, c_prime)

@@ -151,6 +151,8 @@ class Corpus(tuple):
         typecode = "H" if len(corpus) <= 65536 else "I"
         postings: defaultdict[str, array] = defaultdict(partial(array, typecode))
         for i, doc in enumerate(corpus):
+            if not isinstance(doc, Document):
+                raise InvalidInput(f"corpus item {i} is a {type(doc).__name__}, not a Document")
             # array.append converts each int through PyArg_Parse, about 100 ns a call,
             # against 30-60 ns for frombytes of the document's index packed once
             index = array(typecode, (i,)).tobytes()
@@ -477,13 +479,17 @@ def table_from_ratios(
     Products are rounded half-up; ratios reported at three significant
     figures therefore round-trip to the same figures.
     """
-    for name, total in (("n_a", n_a), ("n_b", n_b), ("n_ab", n_ab)):
-        if total <= 0:
+    totals = (("n_a", n_a), ("n_b", n_b), ("n_ab", n_ab))
+    for name, total in totals:
+        if isinstance(total, (int, float)) and total <= 0:
             raise InconsistentRatios(f"total {name} must be positive, got {total}")
     try:
         for name, ratio in (("mu_a", mu_a), ("mu_b", mu_b), ("mu_ab", mu_ab)):
             if not 0.0 <= ratio <= 1.0:
                 raise _outside_unit(f"ratio {name}", ratio)
+        # before the products: a NaN, infinite or non-numeric total cannot be rounded
+        for name, total in totals:
+            _check_count(name, total)
         return CountTable(
             n_a=n_a,
             n_b=n_b,

@@ -133,6 +133,14 @@ class TestCountCorpus:
         after = count_corpus(extended, "a", "b", "x").as_dict()
         assert all(after[key] >= before[key] for key in before)
 
+    @pytest.mark.parametrize("item", ["a b", ("a", "b"), None], ids=["str", "tuple", "none"])
+    def test_refuses_an_item_that_is_not_a_document(self, item):
+        message = f"corpus item 1 is a {type(item).__name__}, not a Document"
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            count_corpus([Document("d", ("a",)), item], "a", "b", "x")
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            Corpus([Document("d", ("a",)), item])
+
     def test_partition_and_merge_equals_single_pass(self, rng):
         vocabulary = ["a", "b", "x", "w"]
         corpus = Corpus(
@@ -469,6 +477,18 @@ class TestTableFromRatios:
         assert table_from_ratios(1, 1, 1, 1.0, 0.0, 0.0).as_dict() == {
             "n_a": 1, "n_b": 1, "n_ab": 1, "n_ax": 1, "n_bx": 0, "n_abx": 0,
         }
+
+    @pytest.mark.parametrize("total, message", [
+        (1.5, "n_b must be an integer, got 1.5"),
+        (math.nan, "n_b must be an integer, got nan"),
+        (math.inf, "n_b must be an integer, got inf"),
+        (-math.inf, "total n_b must be positive, got -inf"),
+        (None, "n_b must be an integer, got None"),
+        ("10", "n_b must be an integer, got '10'"),
+    ], ids=["non-integer", "nan", "inf", "-inf", "none", "str"])
+    def test_rejects_a_total_that_is_not_a_count(self, total, message):
+        with pytest.raises(InconsistentRatios, match=f"^{re.escape(message)}$"):
+            table_from_ratios(10, total, 5, 0.5, 0.5, 0.5)
 
     def test_round_half_up(self):
         table = table_from_ratios(10, 10, 10, 0.25, 0.35, 0.45)

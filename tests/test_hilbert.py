@@ -58,6 +58,10 @@ class TestConstructors:
         with pytest.raises(DimensionMismatch):
             SubsetProjector(3, frozenset({3}))
 
+    def test_subset_projector_rejects_zero_dimension(self):
+        with pytest.raises(DimensionMismatch, match=r"^projector dimension must be >= 1$"):
+            SubsetProjector(0, frozenset())
+
     def test_subset_projector_rejects_non_integer_index(self):
         with pytest.raises(TypeError):
             SubsetProjector(3, frozenset({1.5}))
@@ -171,6 +175,10 @@ class TestSuperpose:
         minus = StateVector(-plus.amplitudes)
         with pytest.raises(DegenerateSuperposition):
             superpose(plus, minus)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match=r"^dims 2 != 3$"):
+            superpose(characteristic_state(2, {0}), characteristic_state(3, {0}))
 
     def test_normalization_preserved(self, rng):
         for _ in range(50):

@@ -9,7 +9,7 @@ import pytest
 
 TOOL = Path(__file__).parents[1] / "tools" / "mutate.py"
 sys.path.insert(0, str(TOOL.parent))
-from mutate import Mutator, read_equivalents  # noqa: E402
+from mutate import EQUIVALENTS, Mutator, read_equivalents  # noqa: E402
 
 MODULE = '''def checked(x):
     if x is None:
@@ -172,3 +172,15 @@ def test_a_malformed_equivalents_file_is_refused(tmp_path, text, message):
 
 def test_an_absent_equivalents_file_lists_nothing(tmp_path):
     assert read_equivalents(tmp_path / "equivalents.txt") == {}
+
+
+def test_every_committed_equivalent_names_a_site_the_mutator_still_finds():
+    """A listed site that an edit removed fails here, without the full --check sweep."""
+    root = TOOL.parents[1]
+    keys = read_equivalents(root / EQUIVALENTS)
+    found = {
+        f"{module} {site.label}"
+        for module in {key.split(" ", 1)[0] for key in keys}
+        for site in sites((root / module).read_text(encoding="utf-8"))
+    }
+    assert sorted(keys.keys() - found) == []

@@ -16,7 +16,7 @@ from array import array
 from collections import defaultdict
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import InconsistentRatios, InvalidCounts, InvalidInput, QoccError, ZeroDenominator
 
@@ -95,9 +95,6 @@ class _Record:
         return self.__dict__.copy()
 
 
-_EMPTY_ID = "document id must be nonempty"
-
-
 class Document(_Record):
     """A document's tokens in order, and ``terms``, the set of words it contains.
 
@@ -109,7 +106,7 @@ class Document(_Record):
         if not isinstance(id, str):
             raise InvalidInput(f"document id must be a string, got {type(id).__name__}")
         if not id:
-            raise InvalidInput(_EMPTY_ID)
+            raise InvalidInput("document id must be nonempty")
         if isinstance(tokens, str):
             raise InvalidInput("document tokens must be a sequence of words, not one str")
         # not through self.__dict__: reading it would give every document a dict of its own
@@ -197,8 +194,8 @@ def _is_file(entry: os.DirEntry) -> bool:
         raise
 
 
-def _texts(p: Path) -> Iterator[tuple[str, str]]:
-    """(id, text) of each document under p, checked as ``load_corpus`` says."""
+def _documents(p: Path, document: Callable[[str, str], Document]) -> Iterator[Document]:
+    """``document(id, text)`` of each document under p, checked as ``load_corpus`` says."""
     if p.is_dir():
         with os.scandir(p) as entries:
             files = sorted((entry.name, entry.path) for entry in entries if _is_file(entry))
@@ -210,18 +207,13 @@ def _texts(p: Path) -> Iterator[tuple[str, str]]:
                 text = data.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise InvalidInput(f"{name}: {exc}") from exc
-            yield name, text
+            yield document(name, text)
         return
-    # a byte that is not UTF-8 reads as a lone surrogate, and fails below in its own line
-    with p.open(encoding="utf-8", errors="surrogateescape") as handle:
-        for line_no, line in enumerate(handle, 1):
+    # split at b"\n" alone; a line is decoded once and made a Document in the try that names it
+    with p.open("rb") as handle:
+        for line_no, data in enumerate(handle, 1):
             try:
-                if not line.isascii():
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
-                    if line_no == 1:
-                        # the file may open with a byte order mark, which json.loads refuses
-                        line = line.removeprefix("\ufeff")
-                line = line.strip()
+                line = data.decode("utf-8-sig" if line_no == 1 else "utf-8").strip()
                 if not line:
                     continue
                 record = json.loads(line)
@@ -232,14 +224,11 @@ def _texts(p: Path) -> Iterator[tuple[str, str]]:
                     raise InvalidInput(f"id must be a string, got {type(doc_id).__name__}")
                 if type(text) is not str:
                     raise InvalidInput(f"text must be a string, got {type(text).__name__}")
-                if not doc_id:
-                    # Document refuses it too, but outside this loop, where the line is not known
-                    raise InvalidInput(_EMPTY_ID)
+                yield document(doc_id, text)
             except KeyError as exc:
                 raise InvalidInput(f"line {line_no}: missing key {exc}") from exc
             except (ValueError, RecursionError, QoccError) as exc:
                 raise InvalidInput(f"line {line_no}: {exc}") from exc
-            yield doc_id, text
 
 
 def _words(terms: Iterable[str]) -> tuple[str, ...]:
@@ -261,9 +250,10 @@ def load_corpus(path: str | Path, terms: Iterable[str] | None = None) -> Corpus:
 
     Directory: every regular file is one document, id = file name, in name
     order; a file that is not UTF-8 raises InvalidInput naming the file.
-    JSON lines: one {"id": ..., "text": ...} object of two strings per line; a
+    JSON lines: one {"id": ..., "text": ...} object of two strings per line.
+    Only "\\n" ends a line, and a byte order mark may open line 1 alone.  A
     line that is not such an object, or not UTF-8, raises InvalidInput naming
-    its number.
+    its number and, for a bad byte, its position counted past any mark.
     Equal tokens share one string object across the whole corpus.  The
     documents come back as a ``Corpus``, which keeps the presence bitmap of
     every term it has counted.
@@ -283,7 +273,7 @@ def load_corpus(path: str | Path, terms: Iterable[str] | None = None) -> Corpus:
 
         def document(doc_id: str, text: str) -> Document:
             return Document(doc_id, _present(text, terms))
-    return Corpus([document(doc_id, text) for doc_id, text in _texts(Path(path))], terms)
+    return Corpus(_documents(Path(path), document), terms)
 
 
 def _count_text(value: int) -> str:

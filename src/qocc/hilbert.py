@@ -36,6 +36,7 @@ NORM_TOL = 1e-12          # unit-norm acceptance for states
 ANNIHILATION_TOL = 1e-12  # smallest surviving norm after a context projection
 CLAMP_TOL = 1e-9          # probability round-off absorbed silently
 ORACLE_PATH_TOL = 1e-12   # agreement required between the two mu routes
+EXPANSION_ROUNDING = 8 * 2.0**-52  # the expansion's rounding per unit of weights / denominator
 
 
 class DimensionMismatch(QoccError):
@@ -197,8 +198,13 @@ def mu_combined(
         -----------------------------------------
         (<a|N|a>   + <b|N|b>   + 2 Re <a|N|b>)
 
-    The two routes must agree to within round-off; disagreement raises
-    NumericsError because it can only come from a bug.
+    The two routes must agree to within ORACLE_PATH_TOL plus the expansion's
+    own rounding, EXPANSION_ROUNDING * (<a|N|a> + <b|N|b>) / denominator: the
+    cross term cancels the two weights where the states interfere
+    destructively, and the direct route adds no such loss.  A disagreement
+    beyond that raises NumericsError.  A denominator that rounds to zero or
+    below bounds nothing, so only the states the direct route refuses are
+    refused.
     """
     _check_dims(psi_a, n_proj, m)
     direct = mu_with_context(superpose(psi_a, psi_b), n_proj, m)
@@ -212,17 +218,12 @@ def mu_combined(
         + float(np.vdot(nb, mnb).real)
         + 2.0 * float(np.vdot(na, mnb).real)
     )
-    denominator = (
-        float(np.vdot(na, na).real)
-        + float(np.vdot(nb, nb).real)
-        + 2.0 * float(np.vdot(na, nb).real)
-    )
-    if denominator <= ANNIHILATION_TOL:
-        raise AnnihilatedState("combined context weight vanishes")
-    expanded = numerator / denominator
-
-    if abs(direct - expanded) > ORACLE_PATH_TOL:
-        raise NumericsError(
-            f"combined-probability routes disagree: {direct!r} vs {expanded!r}"
-        )
+    weights = float(np.vdot(na, na).real) + float(np.vdot(nb, nb).real)
+    denominator = weights + 2.0 * float(np.vdot(na, nb).real)
+    if denominator > 0.0:
+        expanded = numerator / denominator
+        if abs(direct - expanded) > ORACLE_PATH_TOL + EXPANSION_ROUNDING * weights / denominator:
+            raise NumericsError(
+                f"combined-probability routes disagree: {direct!r} vs {expanded!r}"
+            )
     return as_probability(direct)

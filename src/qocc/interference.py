@@ -93,7 +93,12 @@ def _count_ratios(table: CountTable, message: str, *sums: tuple[float, float]) -
 
 
 def mu_ab_interference_sums(table: CountTable, k_x: float, k_x_prime: float) -> float:
-    """Combined probability from the two aggregate cosine sums."""
+    """The model's count ratio at the two aggregate cosine sums, unclamped.
+
+    Like ``raw_lo`` and ``raw_hi`` it can leave [0, 1] on classically
+    impossible counts: ``CountTable(10, 10, 10, 10, 10, 5)`` at ``k_x = 5``,
+    ``k_x_prime = -5`` gives 1.5, where the interval's ``hi`` is 1.0.
+    """
     if not -table.n_abx - 1e-9 <= k_x <= table.n_abx + 1e-9:
         raise InvalidInput(f"k_x={k_x!r} outside [-n_abx, n_abx]")
     if not -table.n_abx_prime - 1e-9 <= k_x_prime <= table.n_abx_prime + 1e-9:
@@ -105,7 +110,10 @@ def mu_ab_interference_sums(table: CountTable, k_x: float, k_x_prime: float) -> 
 def mu_ab_interference(
     table: CountTable, deltas_x: Sequence[float], deltas_x_prime: Sequence[float]
 ) -> float:
-    """Combined probability from per-page phase differences on the abx and abx' pages."""
+    """The unclamped count ratio at per-page phase differences on the abx and abx' pages.
+
+    It is ``mu_ab_interference_sums`` at the sums of their cosines.
+    """
     lists = (("abx", deltas_x, table.n_abx), ("abx'", deltas_x_prime, table.n_abx_prime))
     for pages, deltas, need in lists:
         if len(deltas) != need:

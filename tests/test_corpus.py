@@ -560,10 +560,13 @@ class TestLoadCorpus:
             ('{"id": 7, "text": "plum"}', "id must be a string, got int"),
             ('{"id": "d", "text": null}', "text must be a string, got NoneType"),
             ('{"id": "e", "text": 12}', "text must be a string, got int"),
+            # only "\n" ends a line: a lone "\r" parts no records, and is refused inside a string
+            ('{"id": "a", "text": "x"}\r{"id": "b", "text": "y"}', "Extra data: line 1 column 26 (char 25)"),
+            ('{"id": "a", "text": "x\ry"}', "Invalid control character at: line 1 column 23 (char 22)"),
         ],
         ids=[
             "cut-short", "missing-key", "not-an-object", "int-too-long", "empty-id",
-            "null-id", "false-id", "int-id", "null-text", "int-text",
+            "null-id", "false-id", "int-id", "null-text", "int-text", "cr-between-records", "cr-in-a-string",
         ],
     )
     @LOAD_MODES
@@ -611,6 +614,28 @@ class TestLoadCorpus:
         path.write_bytes(data)
         with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
             load_corpus(path, terms)
+
+    @LOAD_MODES
+    def test_a_bad_byte_after_an_opening_mark_counts_from_the_mark(self, tmp_path, terms):
+        line = b'{"id": "d1", "text": "caf\xe9"}\n'
+        message = "line 1: 'utf-8' codec can't decode byte 0xe9 in position 25: invalid continuation byte"
+        path = tmp_path / "corpus.jsonl"
+        for data in (line, codecs.BOM_UTF8 + line):
+            path.write_bytes(data)
+            with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+                load_corpus(path, terms)
+
+    @LOAD_MODES
+    def test_crlf_lines_load_as_lf_lines(self, tmp_path, terms):
+        lines = ['{"id": "d1", "text": "a b"}', "", '{"id": "d2", "text": "Caf\u00e9 x"}', '{"id": ""}']
+        lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+        lf.write_bytes("\n".join(lines[:3]).encode("utf-8") + b"\n")
+        crlf.write_bytes("\r\n".join(lines[:3]).encode("utf-8") + b"\r\n")
+        assert load_corpus(crlf, terms) == load_corpus(lf, terms)
+        # a refused line keeps its number
+        crlf.write_bytes("\r\n".join(lines).encode("utf-8") + b"\r\n")
+        with pytest.raises(InvalidInput, match="^line 4: missing key 'text'$"):
+            load_corpus(crlf, terms)
 
     @LOAD_MODES
     def test_a_file_that_is_not_utf8_names_itself(self, tmp_path, terms):

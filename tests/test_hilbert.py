@@ -1,9 +1,12 @@
 """Vector-level machinery: constructors, Born rule, context, superposition."""
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qocc import hilbert
 from qocc.hilbert import (
     AnnihilatedState,
     DegenerateSuperposition,
@@ -219,6 +222,35 @@ class TestMuCombined:
             identity_projector(2), SubsetProjector(2, {0}),
         )
         assert value == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("theta", [1e-2, 1e-3])
+    def test_destructive_interference_keeps_the_direct_value(self, theta):
+        # the expansion's denominator, about theta**2 / 2, is left by terms near 1 that cancel
+        half = math.sin(theta) / math.sqrt(2.0)
+        psi_a, psi_b = StateVector([1.0, 0.0, 0.0]), StateVector([-math.cos(theta), half, half])
+        value = mu_combined(psi_a, psi_b, SubsetProjector(3, {0, 1}), SubsetProjector(3, {0}))
+        # N(a + b) = (1 - cos theta, half, 0) exactly, and M keeps its first page
+        kept = (1 - Fraction(math.cos(theta))) ** 2
+        assert value == pytest.approx(float(kept / (kept + Fraction(half) ** 2)), rel=1e-14)
+
+    def test_an_expansion_denominator_that_rounds_to_zero_leaves_the_direct_value(self):
+        theta = 1e-4
+        psi_a, psi_b = StateVector([1.0, 0.0]), StateVector([-math.cos(theta), math.sin(theta)])
+        context = SubsetProjector(2, {0})
+        assert mu_combined(psi_a, psi_b, context, context) == 1.0
+
+    @pytest.mark.parametrize("direct, raises", [(0.5 + 9e-13, False), (0.5 + 1.1e-12, True)])
+    def test_routes_that_disagree_beyond_the_tolerance_raise(self, monkeypatch, direct, raises):
+        # orthogonal states: the expansion gives exactly 1/2, with weights / denominator = 1
+        monkeypatch.setattr(hilbert, "mu_with_context", lambda psi, n_proj, m: direct)
+        states = characteristic_state(2, {0}), characteristic_state(2, {1})
+        projectors = identity_projector(2), SubsetProjector(2, {0})
+        if raises:
+            message = f"combined-probability routes disagree: {direct!r} vs 0.5"
+            with pytest.raises(NumericsError, match=f"^{re.escape(message)}$"):
+                mu_combined(*states, *projectors)
+        else:
+            assert mu_combined(*states, *projectors) == direct
 
     def test_expansion_route_agrees_with_direct_route(self, rng):
         # mu_combined raises NumericsError internally if its two routes differ
